@@ -9,8 +9,6 @@ directory::
 Workloads (inputs in ``perfbench/workloads.json``):
 
 * ``date16_mc_blocked`` -- the paper's MC study, sample-blocked solves;
-* ``date16_mc_adaptive`` -- the same campaign on the adaptive per-sample
-  path;
 * ``ishigami_sobol_service`` -- two closed-loop HTTP clients submitting
   Ishigami Saltelli campaigns to an in-process service.
 
@@ -35,8 +33,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("date16_mc_blocked", "date16_mc_adaptive",
-             "ishigami_sobol_service")
+WORKLOADS = ("date16_mc_blocked", "ishigami_sobol_service")
 #: Every BLAS/OpenMP pool in the workload process runs one thread: with
 #: the default two on two shared cores, runs spread wider.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",

@@ -171,11 +171,10 @@ def install(tracer):
     from repro.campaign.sensitivity import SensitivitySpec
     from repro.campaign.spec import CampaignSpec, ScenarioSpec
     from repro.campaign.store import ArtifactStore
-    from repro.coupled.electrothermal import BlockedCoupledSolver, CoupledSolver
+    from repro.coupled.electrothermal import BlockedCoupledSolver
     from repro.fit.assembly import FITDiscretization
     from repro.service.jobs import JobQueue
     from repro.service.manager import JobManager
-    from repro.solvers import adaptive, newton
     from repro.solvers.cache import FactorizationCache
     from repro.solvers.woodbury import WoodburySolver
 
@@ -211,21 +210,7 @@ def install(tracer):
         after=_set("misses", lambda args, result, state:
                    args[0].misses - state),
     )
-    tracer.patch_method(WoodburySolver, "solve", "solvers.solve")
     tracer.patch_method(WoodburySolver, "solve_batch", "solvers.solve_batch")
-    tracer.patch_function(
-        newton, "fixed_point", "solvers.fixed_point",
-        after=_set("iterations", lambda args, result, state:
-                   int(result.iterations)),
-    )
-
-    def adaptive_counts(span, args, result, state):
-        span.values["accepted"] = int(result.accepted)
-        span.values["rejected"] = int(result.rejected)
-
-    tracer.patch_function(adaptive, "adaptive_implicit_euler",
-                          "solvers.adaptive_implicit_euler",
-                          after=adaptive_counts)
 
     def block_iterations(span, args, result, state):
         per_step = result.iterations_per_step
@@ -235,7 +220,6 @@ def install(tracer):
     tracer.patch_method(BlockedCoupledSolver, "solve_transient_block",
                         "coupled.solve_transient_block",
                         after=block_iterations)
-    tracer.patch_method(CoupledSolver, "step_once", "coupled.step_once")
     tracer.patch_method(FITDiscretization, "cell_field_components",
                         "fit.cell_field_components")
     tracer.patch_method(FITDiscretization, "node_power_from_cells",
@@ -307,10 +291,8 @@ def layer_metrics(spans, traced_units, untraced_units, job_records):
     def per_unit(value):
         return value / units
 
-    iterations = (t.value("solvers.fixed_point", "iterations")
-                  + t.value("coupled.solve_transient_block", "iterations"))
-    steps = (t.count("solvers.fixed_point")
-             + t.value("coupled.solve_transient_block", "sample_steps"))
+    iterations = t.value("coupled.solve_transient_block", "iterations")
+    steps = t.value("coupled.solve_transient_block", "sample_steps")
     chunks = t.durations("campaign.evaluate_chunk")
     traced_rate = _median([unit.rate for unit in traced_units])
     untraced_rate = _median([unit.rate for unit in untraced_units])
@@ -325,19 +307,10 @@ def layer_metrics(spans, traced_units, untraced_units, job_records):
             t.count("solvers.solve_batch")),
         "solvers.solve_batch_s": per_unit(
             t.total.get("solvers.solve_batch", 0.0)),
-        "solvers.solve_calls": per_unit(t.count("solvers.solve")),
-        "solvers.solve_s": per_unit(t.total.get("solvers.solve", 0.0)),
         "solvers.fixed_point_iterations_per_step": (
             iterations / steps if steps else 0.0),
-        "solvers.adaptive_steps_accepted": per_unit(
-            t.value("solvers.adaptive_implicit_euler", "accepted")),
-        "solvers.adaptive_steps_rejected": per_unit(
-            t.value("solvers.adaptive_implicit_euler", "rejected")),
         "coupled.solve_transient_block_self_s": per_unit(
             t.self_time.get("coupled.solve_transient_block", 0.0)),
-        "coupled.step_once_calls": per_unit(t.count("coupled.step_once")),
-        "coupled.step_once_self_s": per_unit(
-            t.self_time.get("coupled.step_once", 0.0)),
         "fit.cell_field_components_calls": per_unit(
             t.count("fit.cell_field_components")),
         "fit.cell_field_components_s": per_unit(
