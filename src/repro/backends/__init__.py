@@ -3,12 +3,12 @@
 See :mod:`repro.backends.base` for the protocol and DESIGN.md "Array
 backends" for the architecture.  Three backends ship built in:
 
-* ``numpy`` -- the scipy ``splu`` + numpy reference path, bitwise
-  identical to the pre-backend solver stack (the default);
+* ``numpy`` -- the scipy ``splu`` + numpy reference path (the
+  default);
 * ``cupy`` -- GPU execution behind the ``[gpu]`` optional extra,
   import-guarded with a clear error naming the extra when absent;
 * ``devicesim`` -- a CPU test double enforcing device semantics
-  (separate memory space, accounted transfers, gemm corrections) so CI
+  (separate memory space, accounted transfers) so CI
   exercises the device seams without GPU hardware.
 
 Importing this package registers all three (the CuPy import guard fires
@@ -16,12 +16,7 @@ at *construction*, not registration, so listing backends never requires
 a GPU).
 """
 
-from .base import (
-    BITWISE,
-    ArrayBackend,
-    EquivalenceTier,
-    FactorizationHandle,
-)
+from .base import ArrayBackend, FactorizationHandle
 from .registry import (
     default_array_backend_name,
     get_array_backend,
@@ -39,10 +34,8 @@ from .numpy_backend import NumpyBackend
 
 __all__ = [
     "ArrayBackend",
-    "BITWISE",
     "DeviceArray",
     "DeviceSimBackend",
-    "EquivalenceTier",
     "FactorizationHandle",
     "NumpyBackend",
     "default_array_backend_name",

@@ -1,31 +1,13 @@
 """The :class:`ArrayBackend` protocol: the solver stack's linear-algebra
 substrate as a declared, swappable dependency.
 
-PR 7 reduced the Monte Carlo hot path to exactly two numerical seams --
-the sparse base factorization behind :class:`~repro.solvers.woodbury.
+The Monte Carlo hot path has exactly two numerical seams -- the
+sparse base factorization behind :class:`~repro.solvers.woodbury.
 WoodburySolver` (one multi-RHS backsolve per time step) and the stacked
 ``(S, k, k)`` batched core solve.  An :class:`ArrayBackend` owns both
 seams plus the host/device memory boundary around them, so a device
 runtime (CuPy) or a test double (``devicesim``) slots in without the
 solver layer knowing which substrate it runs on.
-
-Every backend *declares* its numerical contract instead of implying it:
-
-``equivalence``
-    An :class:`EquivalenceTier`.  The reference ``numpy`` backend is
-    ``bitwise`` (blocked results equal the per-sample path bit for bit,
-    the PR 7 contract); device backends declare an explicit ``rtol``
-    tier because batched gemm corrections reorder floating-point sums
-    (see DESIGN.md "Array backends" for the conditioning argument).
-
-``correction_mode``
-    ``"columns"`` applies the rank-k Woodbury corrections column by
-    column (per-sample gemvs -- order-preserving, required for the
-    bitwise tier); ``"gemm"`` applies them as one BLAS-3 product, the
-    natural shape on devices where kernel-launch overhead dominates.
-    The per-column-vs-gemm decision used to be a hard-coded loop in
-    ``solve_batch``; it is a backend capability now, which turns the
-    DESIGN.md conditioning argument into checked code.
 
 Transfers between the host and the device memory space go through
 :meth:`~ArrayBackend.to_device` / :meth:`~ArrayBackend.from_device`
@@ -35,38 +17,22 @@ the ``solver.device_transfers`` telemetry counter together, so a test
 transfers happened outside the accounted seams.
 """
 
-from collections import namedtuple
-
 import numpy as np
 
 from ..telemetry import tracing as telemetry
 
-#: Declared numerical equivalence of a backend's blocked path against
-#: the per-sample reference: ``kind`` is ``"bitwise"`` (``rtol == 0``)
-#: or ``"rtol"`` with the guaranteed relative tolerance.
-EquivalenceTier = namedtuple("EquivalenceTier", ("kind", "rtol"))
-
-#: The bitwise tier of the CPU reference backend.
-BITWISE = EquivalenceTier("bitwise", 0.0)
-
 
 class FactorizationHandle:
-    """A factorized base matrix with host and device solve entry points.
+    """A factorized base matrix with a backend-side solve entry point.
 
-    ``lu`` is the underlying SuperLU object (exposed so the cache's
-    legacy ``splu()`` accessor and identity-based tests keep working).
-    ``solve_host`` takes and returns host ndarrays -- the scalar
-    :meth:`~repro.solvers.woodbury.WoodburySolver.solve` path stays on
-    the host under every backend.  ``backsolve`` takes and returns
-    *device* arrays and is the blocked path's multi-RHS seam.
+    ``lu`` is the underlying host SuperLU object (one-time host solves,
+    e.g. ``A^-1 U`` at solver construction).  ``backsolve`` takes and
+    returns arrays in the backend's memory space and is the solver's
+    multi-RHS seam.
     """
 
     def __init__(self, lu):
         self.lu = lu
-
-    def solve_host(self, rhs):
-        """Solve on the host: ndarray in, ndarray out."""
-        return self.lu.solve(rhs)
 
     def backsolve(self, rhs):
         """Multi-RHS solve in the backend's memory space."""
@@ -76,20 +42,15 @@ class FactorizationHandle:
 class ArrayBackend:
     """Base class for array backends (see the module docstring).
 
-    Concrete backends set :attr:`name`, :attr:`equivalence` and
-    :attr:`correction_mode` and implement the factorization and
-    transfer methods.  Device arrays only need ``.T``, ``@`` and ``-``
-    (the blocked Woodbury algebra), so raw ndarrays qualify for CPU
+    Concrete backends set :attr:`name` and implement the factorization
+    and transfer methods.  Device arrays only need ``.T``, ``@``, ``*``
+    and ``-`` (the Woodbury algebra), so raw ndarrays qualify for CPU
     backends and wrapped/device arrays for the rest.
     """
 
     #: Registry name (also the cache-key component; see
     #: :meth:`repro.solvers.cache.FactorizationCache.factorize`).
     name = None
-    #: Declared :class:`EquivalenceTier` against the per-sample path.
-    equivalence = BITWISE
-    #: ``"columns"`` (order-preserving gemvs) or ``"gemm"`` (BLAS-3).
-    correction_mode = "columns"
 
     def __init__(self):
         self._transfer_count = 0
@@ -140,12 +101,7 @@ class ArrayBackend:
         raise NotImplementedError
 
     def __repr__(self):
-        tier = self.equivalence
-        return (
-            f"<{type(self).__name__} name={self.name!r} "
-            f"equivalence={tier.kind}:{tier.rtol:g} "
-            f"correction_mode={self.correction_mode!r}>"
-        )
+        return f"<{type(self).__name__} name={self.name!r}>"
 
 
 def as_host_array(array):

@@ -9,20 +9,15 @@ on a CPU-only host fails fast with an actionable message instead of an
 The cost model mirrors ``devicesim`` (which is this backend's CI test
 double): the base factorization stays on the host (SuperLU -- sparse LU
 is latency-bound and the factorization happens once), its factors are
-mirrored to the device lazily on the first blocked backsolve, and the
+mirrored to the device lazily on the first backsolve, and the
 hot loop's algebra -- the multi-RHS backsolve, the stacked core solves,
-the gemm-ordered corrections -- runs on the device with exactly two
-counted transfers per solve_batch call (RHS up, solution down) plus the
-per-step cores upload and the one-time operator uploads.
-
-``correction_mode = "gemm"``: per-column gemvs would serialize kernel
-launches; the BLAS-3 correction reorders summations, hence the declared
-``rtol`` equivalence tier (same argument as ``devicesim``, DESIGN.md
-"Array backends").
+the BLAS-3 corrections -- runs on the device with counted transfers per
+solve (RHS, conductance deviations and cores up, solution down) plus
+the one-time operator uploads.
 """
 
 from ..errors import SolverError
-from .base import ArrayBackend, EquivalenceTier, FactorizationHandle
+from .base import ArrayBackend, FactorizationHandle
 from .registry import register_array_backend
 
 
@@ -67,8 +62,6 @@ class CupyBackend(ArrayBackend):
     """GPU backend over CuPy (requires the ``[gpu]`` extra)."""
 
     name = "cupy"
-    equivalence = EquivalenceTier("rtol", 1e-6)
-    correction_mode = "gemm"
 
     def __init__(self):
         super().__init__()

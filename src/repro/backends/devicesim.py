@@ -1,12 +1,11 @@
 """``devicesim``: a CPU test double that enforces device semantics.
 
 CI has no GPU, but the seams a GPU backend must honor -- a separate
-memory space, explicit accounted transfers, gemm-ordered corrections
-with a relaxed equivalence tier -- are all checkable on a CPU.  This
-backend simulates a device with three rules:
+memory space and explicit accounted transfers -- are both checkable on
+a CPU.  This backend simulates a device with two rules:
 
 * **Separate memory space.**  Device data lives in :class:`DeviceArray`
-  wrappers.  Mixing one with a host ndarray in ``@`` or ``-`` raises
+  wrappers.  Mixing one with a host ndarray in ``@``, ``*`` or ``-`` raises
   :class:`SolverError` instead of silently computing, and so does any
   implicit ``numpy`` coercion (``__array__``): code that would crash on
   a real device (or, worse, silently round-trip through the host)
@@ -16,19 +15,12 @@ backend simulates a device with three rules:
   both the backend's ``transfer_count`` and the
   ``solver.device_transfers`` telemetry counter.  "Zero unaccounted
   transfers" is then a checkable equality between the two.
-* **Device cost model.**  ``correction_mode = "gemm"``: the rank-k
-  corrections are one BLAS-3 product, not per-column gemvs, which is
-  why the declared equivalence tier is ``rtol`` (1e-6) rather than
-  bitwise -- the gemm summation reorder is amplified by the Woodbury
-  cancellation (DESIGN.md "Array backends").  The measured agreement on
-  the paper's systems is far tighter; the declared tier is the
-  *contract*, not the typical error.
 """
 
 import numpy as np
 
 from ..errors import SolverError
-from .base import ArrayBackend, EquivalenceTier, FactorizationHandle
+from .base import ArrayBackend, FactorizationHandle
 from .registry import register_array_backend
 
 
@@ -45,8 +37,8 @@ def _unwrap(array, context):
 class DeviceArray:
     """An array in the simulated device memory space.
 
-    Supports exactly the algebra the blocked Woodbury path needs
-    (``.T``, ``@``, ``-``) between device arrays; any operation that
+    Supports exactly the algebra the Woodbury solver needs (``.T``,
+    ``@``, ``*``, ``-``) between device arrays; any operation that
     would silently mix in a host ndarray raises :class:`SolverError`.
     """
 
@@ -88,6 +80,12 @@ class DeviceArray:
     def __rmatmul__(self, other):
         return DeviceArray(self._coerce(other, "@") @ self._data)
 
+    def __mul__(self, other):
+        return DeviceArray(self._data * self._coerce(other, "*"))
+
+    def __rmul__(self, other):
+        return DeviceArray(self._coerce(other, "*") * self._data)
+
     def __sub__(self, other):
         return DeviceArray(self._data - self._coerce(other, "-"))
 
@@ -120,8 +118,6 @@ class DeviceSimBackend(ArrayBackend):
     """The device-semantics test double (see the module docstring)."""
 
     name = "devicesim"
-    equivalence = EquivalenceTier("rtol", 1e-6)
-    correction_mode = "gemm"
 
     def to_device(self, array):
         self._count_transfer()

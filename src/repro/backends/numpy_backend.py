@@ -1,17 +1,13 @@
-"""The reference CPU backend: scipy ``splu`` + numpy, bitwise tier.
+"""The reference CPU backend: scipy ``splu`` + numpy.
 
-This is the pre-refactor solver stack verbatim behind the protocol:
-"device" arrays are host ndarrays, transfers are identities (and are
-*not* counted -- there is no memory boundary to account for), the
-batched core solve is ``numpy.linalg.solve`` over the stacked cores,
-and ``correction_mode = "columns"`` keeps the order-preserving
-per-column corrections that make blocked results bitwise identical to
-the per-sample path (the PR 7 contract).
+"Device" arrays are host ndarrays, transfers are identities (and are
+*not* counted -- there is no memory boundary to account for), and the
+batched core solve is ``numpy.linalg.solve`` over the stacked cores.
 """
 
 import numpy as np
 
-from .base import BITWISE, ArrayBackend, FactorizationHandle
+from .base import ArrayBackend, FactorizationHandle
 from .registry import register_array_backend
 
 
@@ -26,8 +22,6 @@ class NumpyBackend(ArrayBackend):
     """scipy/numpy reference backend (the default)."""
 
     name = "numpy"
-    equivalence = BITWISE
-    correction_mode = "columns"
 
     def to_device(self, array):
         # No memory boundary: the host array *is* the device array.
@@ -45,9 +39,6 @@ class NumpyBackend(ArrayBackend):
         )
 
     def batched_core_solve(self, cores, rhs):
-        # Batched per-matrix-exact solves: numpy broadcasts the (S,k,k)
-        # stack and solves each kxk system independently, so sample s
-        # matches a standalone solve of its core bit for bit.
         return np.linalg.solve(cores, rhs[..., None])[..., 0]
 
     def broadcast_columns(self, vector, num_columns):

@@ -814,7 +814,7 @@ def resume_campaign(store, executor=None, progress=None, reducer=None,
     under (a no-op); naming a *different* one is refused by the store's
     spec-identity check -- checkpointed chunks carry the numerical
     contract of the backend that wrote them, so finishing a campaign on
-    another substrate would silently mix equivalence tiers.
+    another substrate would silently mix rounding from two backends.
     """
     if not isinstance(store, ArtifactStore):
         store = ArtifactStore(store)

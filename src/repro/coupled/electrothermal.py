@@ -80,9 +80,8 @@ class CoupledSolver:
         :class:`~repro.backends.ArrayBackend` (or registered name) the
         fast-mode Woodbury solvers resolve their linear algebra
         through; ``None`` picks the process default (``numpy``).  Only
-        the blocked :class:`BlockedCoupledSolver` path crosses the
-        device boundary -- assembly and the full-mode path stay on the
-        host regardless.
+        the fast-mode Woodbury solves cross the device boundary --
+        assembly and the full-mode path stay on the host regardless.
     """
 
     def __init__(
@@ -152,7 +151,6 @@ class CoupledSolver:
         self._linear_th = LinearSolver()
         #: Drive scale of the current time level (waveform support).
         self._el_scale = 1.0
-        self._fast_state = None
         self.max_thermal_solvers = int(max_thermal_solvers)
         if self.max_thermal_solvers < 1:
             raise SolverError(
@@ -286,33 +284,25 @@ class CoupledSolver:
             self.discretization.stiffness_from_diagonal(sigma_diag),
             self.total_size,
         )
-        if self.topology.num_extra_nodes:
-            # The wire-free base matrix has zero rows at the internal wire
-            # nodes (their only coupling is through the stamps handled by
-            # the Woodbury update).  A shunt ~10 orders of magnitude below
-            # the segment conductances keeps the base factorizable while
-            # perturbing the solution far below the solver tolerance.
-            shunt = np.zeros(self.total_size)
-            scale = float(np.max(k_el.diagonal())) if k_el.nnz else 1.0
-            shunt[self.n_grid:] = 1.0e-12 * scale
-            k_el = k_el + sp.diags(shunt)
         a_el, rhs_el = self._reduce_electrical(k_el)
         u_full = self.topology.segment_incidence_matrix()
-        u_el = u_full[self.el_free]
-        # Both fast-path bases are symmetric positive definite (FIT
-        # stiffness + positive diagonals, Dirichlet-reduced), so the
-        # cheaper symmetric factorization mode applies.
-        self._fast_el = WoodburySolver(a_el, u_el,
-                                       cache=self.factorization_cache,
-                                       symmetric=True,
-                                       backend=self.array_backend)
+        # The Woodbury solvers factorize the wire-free bases with the
+        # nominal stamps in place: the construction-time lengths at the
+        # initial temperature.  Per-sample lengths and iterates then only
+        # move the conductances away from these values.
+        initial = np.full(self.total_size, problem.t_initial)
+        self._fast_g_th0 = self.topology.segment_thermal_conductances(initial)
+        self._fast_el = WoodburySolver(
+            a_el, u_full[self.el_free],
+            self.topology.segment_electrical_conductances(initial),
+            cache=self.factorization_cache, backend=self.array_backend,
+        )
         self._fast_el_rhs = rhs_el
 
         k_th = embed_grid_matrix(
             self.discretization.stiffness_from_diagonal(lambda_diag),
             self.total_size,
         )
-        self._fast_state = "ready"
         self._fast_u = u_full
         self._fast_k_th = k_th
         self._fast_th_solvers.clear()  # (re)built per dt on demand
@@ -335,9 +325,8 @@ class CoupledSolver:
             + self._fast_k_th
             + sp.diags(self.conv_diag)
         ).tocsc()
-        solver = WoodburySolver(base, self._fast_u,
+        solver = WoodburySolver(base, self._fast_u, self._fast_g_th0,
                                 cache=self.factorization_cache,
-                                symmetric=True,
                                 backend=self.array_backend)
         self.metrics.increment("thermal_solver_builds")
         telemetry.increment("solver.thermal_builds")
@@ -556,13 +545,15 @@ class CoupledSolver:
         controller's linear predictor) -- the converged solution is the
         same within the fixed-point tolerance, just cheaper to reach.
         """
-        self._el_scale = float(drive_scale)
         step = self._step_fast if self.mode == "fast" else self._step_full
-        new_state, _, _ = step(
-            np.asarray(temperatures, dtype=float), float(dt),
-            guess=None if guess is None else np.asarray(guess, dtype=float),
-        )
-        self._el_scale = 1.0
+        self._el_scale = float(drive_scale)
+        try:
+            new_state, _, _ = step(
+                np.asarray(temperatures, dtype=float), float(dt),
+                guess=None if guess is None else np.asarray(guess, dtype=float),
+            )
+        finally:
+            self._el_scale = 1.0
         return new_state
 
     def solve_transient(self, time_grid, store_fields=False, waveform=None):
@@ -605,19 +596,24 @@ class CoupledSolver:
 
         step = self._step_fast if self.mode == "fast" else self._step_full
         times = time_grid.times
-        for step_index in range(time_grid.num_steps):
-            self._el_scale = float(drive(times[step_index + 1]))
-            temperatures, n_iter, cache = step(temperatures, dt)
-            iterations.append(n_iter)
-            phi = cache["phi"]
-            wire_t.append(self.topology.wire_temperatures(temperatures))
-            wire_peak.append(self.topology.wire_peak_temperatures(temperatures))
-            wire_p.append(cache["wire_powers"])
-            field_p.append(cache["field_power"])
-            if store_fields:
-                fields.append(temperatures.copy())
-        # Restore the constant drive for any later stationary solve.
-        self._el_scale = 1.0
+        try:
+            for step_index in range(time_grid.num_steps):
+                self._el_scale = float(drive(times[step_index + 1]))
+                temperatures, n_iter, cache = step(temperatures, dt)
+                iterations.append(n_iter)
+                phi = cache["phi"]
+                wire_t.append(self.topology.wire_temperatures(temperatures))
+                wire_peak.append(
+                    self.topology.wire_peak_temperatures(temperatures)
+                )
+                wire_p.append(cache["wire_powers"])
+                field_p.append(cache["field_power"])
+                if store_fields:
+                    fields.append(temperatures.copy())
+        finally:
+            # Restore the constant drive for any later stationary solve,
+            # also when a step fails to converge.
+            self._el_scale = 1.0
 
         result = TransientResult(
             times=time_grid.times,
@@ -879,12 +875,7 @@ class BlockedCoupledSolver:
         )
         q = np.zeros((solver.total_size, phi.shape[1]))
         q[:n_grid] = disc.node_power_from_cells(density)
-        # Column-wise dots (not one gemv) keep the reduction order of
-        # the per-sample ``np.dot(density, cell_volumes)`` bitwise.
-        field_power = np.array([
-            np.dot(np.ascontiguousarray(density[:, s]), disc.cell_volumes)
-            for s in range(phi.shape[1])
-        ])
+        field_power = disc.cell_volumes @ density
         drop = phi[self._seg_start] - phi[self._seg_end]
         power = g_el * drop * drop
         q_wire = np.zeros_like(q)

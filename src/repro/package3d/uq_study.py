@@ -187,7 +187,7 @@ class Date16UncertaintyStudy:
     array_backend:
         Array backend name (or instance) for the fast-path solvers --
         see :mod:`repro.backends`.  ``None`` picks the process default
-        (``numpy``, bitwise-identical to the historic path); the
+        (``numpy``); the
         campaign layer threads a scenario's ``options["array_backend"]``
         through here.
     """

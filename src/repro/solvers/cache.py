@@ -138,17 +138,6 @@ class FactorizationCache:
             self._entries.popitem(last=False)
         return handle
 
-    def splu(self, matrix, symmetric=False):
-        """``scipy.sparse.linalg.splu`` with content-addressed memoization.
-
-        Back-compat accessor over :meth:`factorize` under the ``numpy``
-        backend: returns the raw SuperLU object, with the same identity
-        semantics as before (two calls with the same matrix return the
-        same object).
-        """
-        return self.factorize(matrix, symmetric=symmetric,
-                              backend="numpy").lu
-
     def clear(self):
         """Drop every cached factorization (counters are kept)."""
         self._entries.clear()

@@ -2,57 +2,68 @@
 
 Between Monte Carlo samples only the bonding wire conductances change, and
 each wire stamps a rank-1 update ``g_j p_j p_j^T`` into the system matrix
-(Section III-B of the paper).  With ``A = A_base + U diag(g) U^T`` and a
-factorized ``A_base``, the Woodbury identity
+(Section III-B of the paper).  The solver factorizes the system once with
+the *nominal* stamps in place, ``A_nom = A0 + U diag(g0) U^T``, and applies
+every sample's deviation ``D = diag(g - g0)`` in capacitance form:
 
-``A^-1 b = A0^-1 b - A0^-1 U (diag(g)^-1 + U^T A0^-1 U)^-1 U^T A0^-1 b``
+``x = x0 - W (I + D C)^-1 D U^T x0``,  ``x0 = A_nom^-1 b``,
+``W = A_nom^-1 U``,  ``C = U^T W``.
 
-solves each sample with one small dense solve instead of a fresh sparse LU.
-This is the fast path benchmarked by ``bench_ablation_woodbury``.
+The wire-free base ``A0`` alone may be singular (a node island attached
+to the rest of the mesh only through wires); ``A_nom`` is not, and the
+capacitance form needs no ``1/g``, so a dropped stamp is just ``d = -g0``.
+On the paper's systems ``cond(I + D C)`` stays near 1, which makes the
+update as accurate as a direct solve of the stamped matrix.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..backends import get_array_backend
 from ..errors import SolverError
 from ..telemetry import tracing as telemetry
 
+#: Largest condition number of ``I + D C`` the solver accepts, measured
+#: as ``(1 + |D C|) |(I + D C)^-1|`` in the 1-norm so that a 1x1 core
+#: cancelling to zero counts too.  A larger one means the conductances
+#: detach part of the system (a singular stamped matrix) or cannot be
+#: applied accurately in double precision.
+MAX_CORE_CONDITION = 1.0e10
+
 
 class WoodburySolver:
-    """Solver for ``(A_base + U diag(g) U^T) x = b`` with varying ``g``.
+    """Solver for ``(A0 + U diag(g) U^T) x = b`` with varying ``g``.
 
     Parameters
     ----------
     base_matrix:
-        Sparse base matrix ``A_base`` (factorized once).
+        Sparse wire-free matrix ``A0``; it may be singular as long as the
+        nominally stamped ``A_nom`` is symmetric positive definite.
     update_vectors:
         Dense ``(n, k)`` matrix ``U`` whose columns are the stamp vectors
         ``p_j`` (entries +1/-1 at the wire end nodes, after Dirichlet
         reduction).
+    nominal_conductances:
+        Length-``k`` conductances ``g0`` stamped into the factorized
+        matrix ``A_nom`` (SuperLU symmetric mode; see
+        :func:`~repro.solvers.cache.checked_splu`).  Solves are most
+        accurate for ``g`` near ``g0``.
     cache:
         Optional :class:`~repro.solvers.cache.FactorizationCache`; when
-        given, the base LU is looked up / stored there so structurally
-        identical solvers built in the same process share one
-        factorization (the campaign worker pattern).
-    symmetric:
-        Factorize the base in SuperLU's symmetric mode (see
-        :func:`~repro.solvers.cache.checked_splu`); only for bases known
-        to be symmetric positive definite.
+        given, the LU of ``A_nom`` is looked up / stored there so
+        structurally identical solvers built in the same process share
+        one factorization (the campaign worker pattern).
     backend:
         :class:`~repro.backends.ArrayBackend` (or registered name)
-        carrying the blocked path's linear algebra: the base
-        factorization/backsolve seam, the batched core solve, and the
-        ``correction_mode`` / ``equivalence`` contract.  ``None``
-        resolves the process default (``numpy`` -- the bitwise CPU
-        reference -- unless ``REPRO_ARRAY_BACKEND`` overrides it).  The
-        scalar :meth:`solve` path stays on the host under every
-        backend; only :meth:`solve_batch` crosses the device boundary.
+        carrying the linear algebra: the factorization/backsolve seam,
+        the batched core solve and the host/device transfers.  ``None``
+        resolves the process default (``numpy`` unless
+        ``REPRO_ARRAY_BACKEND`` overrides it).
     """
 
-    def __init__(self, base_matrix, update_vectors, cache=None,
-                 symmetric=False, backend=None):
+    def __init__(self, base_matrix, update_vectors, nominal_conductances,
+                 cache=None, backend=None):
         self.backend = get_array_backend(backend)
-        base_matrix = base_matrix.tocsc()
         update_vectors = np.asarray(update_vectors, dtype=float)
         if update_vectors.ndim != 2:
             raise SolverError("update_vectors must be a 2D (n, k) array")
@@ -63,34 +74,50 @@ class WoodburySolver:
             )
         self.rank = update_vectors.shape[1]
         self.update_vectors = update_vectors
+        self.nominal_conductances = self._check_conductances(
+            np.asarray(nominal_conductances, dtype=float).reshape(1, -1)
+        )[0]
+        stamps = sp.csc_matrix(update_vectors)
+        nominal = (
+            base_matrix
+            + stamps @ sp.diags(self.nominal_conductances) @ stamps.T
+        ).tocsc()
         if cache is not None:
             self._handle = cache.factorize(
-                base_matrix, symmetric=symmetric, backend=self.backend
+                nominal, symmetric=True, backend=self.backend
             )
         else:
-            self._handle = self.backend.factorize(
-                base_matrix, symmetric=symmetric
-            )
-        self._lu = self._handle.lu
-        # Precompute A0^-1 U and the capacitance-free core U^T A0^-1 U.
-        # A rank-0 update (no wires) is a valid degenerate case: every
-        # solve is then just the base LU solve.
-        if self.rank:
-            # One multi-RHS triangular sweep instead of k single solves.
-            self._base_inverse_u = np.asarray(
-                self._lu.solve(np.ascontiguousarray(update_vectors))
-            )
-        else:
-            self._base_inverse_u = np.zeros((base_matrix.shape[0], 0))
+            self._handle = self.backend.factorize(nominal, symmetric=True)
+        # W = A_nom^-1 U in one multi-RHS triangular sweep, and the
+        # capacitance matrix C = U^T W.
+        self._base_inverse_u = self._handle.lu.solve(
+            np.ascontiguousarray(update_vectors)
+        )
         self._core = update_vectors.T @ self._base_inverse_u
-        # Device mirrors of U and A0^-1 U, uploaded (and transfer-
-        # counted) lazily on the first device-path blocked solve.
+        # Backend-resident U and W, uploaded (and transfer-counted)
+        # lazily on the first solve.
         self._device_ops = None
 
     @property
     def size(self):
-        """Number of unknowns ``n`` of the base system."""
+        """Number of unknowns ``n`` of the system."""
         return self.update_vectors.shape[0]
+
+    def _check_conductances(self, conductances):
+        """Validate an ``(S, k)`` block of non-negative conductances."""
+        if conductances.ndim != 2:
+            raise SolverError(
+                f"conductances must be a 2D (S, k) block, got shape "
+                f"{conductances.shape}"
+            )
+        if conductances.shape[1] != self.rank:
+            raise SolverError(
+                f"expected {self.rank} conductances per sample, got "
+                f"{conductances.shape[1]}"
+            )
+        if np.any(conductances < 0.0):
+            raise SolverError("wire conductances must be non-negative")
+        return conductances
 
     def _check_rhs(self, rhs):
         """Validate an ``(n,)`` or ``(n, m)`` right-hand side."""
@@ -108,49 +135,31 @@ class WoodburySolver:
         return rhs
 
     def solve(self, conductances, rhs):
-        """Solve for the given per-stamp conductances ``g`` (length k).
+        """Solve for one set of per-stamp conductances ``g`` (length k).
 
         ``rhs`` is either one vector ``(n,)`` or a multi-RHS block
         ``(n, m)`` sharing the same conductances -- the solution has the
-        same shape.  Zero conductances are supported (the corresponding
-        stamp simply drops out); negative conductances are rejected as
+        same shape.  This is the one-sample case of :meth:`solve_batch`.
+        Zero conductances drop their stamp; negative ones are rejected as
         non-physical.
         """
-        conductances = np.asarray(conductances, dtype=float).ravel()
-        if conductances.size != self.rank:
-            raise SolverError(
-                f"expected {self.rank} conductances, got {conductances.size}"
-            )
-        if np.any(conductances < 0.0):
-            raise SolverError("wire conductances must be non-negative")
+        conductances = self._check_conductances(
+            np.asarray(conductances, dtype=float).reshape(1, -1)
+        )
         rhs = self._check_rhs(rhs)
-        base_solution = self._lu.solve(rhs)
-
-        active = conductances > 0.0
-        if not np.any(active):
-            return base_solution
-        u_active = self.update_vectors[:, active]
-        base_inv_u = self._base_inverse_u[:, active]
-        core = self._core[np.ix_(active, active)].copy()
-        core[np.diag_indices_from(core)] += 1.0 / conductances[active]
-        try:
-            coefficients = np.linalg.solve(core, u_active.T @ base_solution)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"Woodbury core solve failed: {exc}") from exc
-        solution = base_solution - base_inv_u @ coefficients
-        if not np.all(np.isfinite(solution)):
-            raise SolverError("Woodbury solve produced non-finite values")
-        return solution
+        if rhs.ndim == 1:
+            return self._solve(conductances, rhs)[:, 0]
+        return self._solve(
+            np.repeat(conductances, rhs.shape[1], axis=0), rhs
+        )
 
     def solve_batch(self, conductances, rhs):
         """Sample-blocked solve: ``(S, k)`` conductances in one pass.
 
-        Solves ``(A_base + U diag(g_s) U^T) x_s = b_s`` for every sample
-        ``s`` of a block at once: one multi-RHS base backsolve over the
-        whole ``(n, S)`` RHS block, then a stacked ``(S, k, k)`` core
-        solve via :func:`numpy.linalg.solve` batching and a single
-        BLAS-3 correction product -- instead of ``S`` independent
-        :meth:`solve` calls.
+        Solves ``(A0 + U diag(g_s) U^T) x_s = b_s`` for every sample
+        ``s`` of a block at once: one multi-RHS backsolve, a stacked
+        ``(S, k, k)`` capacitance solve and one BLAS-3 correction
+        product.
 
         Parameters
         ----------
@@ -161,38 +170,18 @@ class WoodburySolver:
             Either an ``(n, S)`` block (one column per sample) or a
             single shared ``(n,)`` vector -- the campaign's electrical
             fast path drives every sample with the same reduced RHS, so
-            the base backsolve collapses to one vector solve.
+            the backsolve collapses to one vector solve.
 
         Returns
         -------
-        ``(n, S)`` solution block, column ``s`` for sample ``s``.  With a
-        shared ``(n,)`` RHS, column ``s`` is bitwise identical to
-        ``solve(conductances[s], rhs)``: the core solves are batched but
-        per-matrix exact, and the rank-k corrections are applied
-        column-wise on purpose -- ``A0^-1 b`` and the correction are
-        orders of magnitude larger than their difference, so a blocked
-        gemm's summation reorder would be amplified by the cancellation
-        (measured ~1e-8 absolute on the paper's electrical system).
-        With an ``(n, S)`` RHS block only the multi-RHS base backsolve
-        (SuperLU's blocked supernodal kernels reorder sums for
-        ``nrhs > 1``) separates a column from the per-sample result.
+        ``(n, S)`` solution block, column ``s`` for sample ``s``.
         """
-        conductances = np.asarray(conductances, dtype=float)
-        if conductances.ndim != 2:
-            raise SolverError(
-                f"conductances must be a 2D (S, k) block, got shape "
-                f"{conductances.shape}"
-            )
-        num_samples, k = conductances.shape
-        if k != self.rank:
-            raise SolverError(
-                f"expected {self.rank} conductances per sample, got {k}"
-            )
-        if np.any(conductances < 0.0):
-            raise SolverError("wire conductances must be non-negative")
+        conductances = self._check_conductances(
+            np.asarray(conductances, dtype=float)
+        )
+        num_samples = conductances.shape[0]
         rhs = self._check_rhs(rhs)
-        shared_rhs = rhs.ndim == 1
-        if not shared_rhs and rhs.shape[1] != num_samples:
+        if rhs.ndim == 2 and rhs.shape[1] != num_samples:
             if rhs.shape[1] == 1:
                 # A single column where a shared vector is meant is a
                 # classic silent-broadcast hazard; name the fix.
@@ -206,95 +195,11 @@ class WoodburySolver:
                 f"rhs block has {rhs.shape[1]} columns for "
                 f"{num_samples} samples"
             )
-        homogeneous = (
-            self.rank > 0
-            and num_samples > 0
-            and bool(np.all(conductances > 0.0))
-        )
-        if homogeneous and self.backend.correction_mode == "gemm":
-            # Device backends (cupy, devicesim) take the gemm-ordered
-            # path within their declared rtol equivalence tier; the
-            # heterogeneous fallback below stays on the host.
-            return self._solve_batch_device(
-                conductances, rhs, shared_rhs, num_samples
-            )
-        base = self._lu.solve(np.ascontiguousarray(rhs))
-        if shared_rhs:
-            base_block = np.broadcast_to(
-                base[:, None], (self.size, num_samples)
-            )
-        else:
-            base_block = base
-
         telemetry.increment("solver.blocked_solves")
-        if self.rank == 0 or not conductances.any():
-            return np.array(base_block)
-        if np.all(conductances > 0.0):
-            # Homogeneous active set (the MC hot path: every wire
-            # conducts): one stacked core solve over all samples.
-            cores = np.repeat(self._core[None, :, :], num_samples, axis=0)
-            diag = np.arange(self.rank)
-            cores[:, diag, diag] += 1.0 / conductances
-            if shared_rhs:
-                rhs_core = np.broadcast_to(
-                    self.update_vectors.T @ base,
-                    (num_samples, self.rank),
-                )
-            else:
-                # Column-wise gemvs, not one gemm: the per-sample path
-                # reduces U^T b column by column and the ill-conditioned
-                # core amplifies summation reorder (see the docstring).
-                rhs_core = np.stack([
-                    self.update_vectors.T @ np.ascontiguousarray(base[:, s])
-                    for s in range(num_samples)
-                ])
-            try:
-                coefficients = np.linalg.solve(
-                    cores, rhs_core[..., None]
-                )[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    f"Woodbury core solve failed: {exc}"
-                ) from exc
-            solution = np.empty((self.size, num_samples))
-            for s in range(num_samples):
-                # Per-column correction keeps the cancellation between
-                # the base solution and the rank-k correction bitwise
-                # faithful to :meth:`solve`.
-                solution[:, s] = base_block[:, s] - (
-                    self._base_inverse_u @ coefficients[s]
-                )
-        else:
-            # Heterogeneous active sets (some samples drop stamps):
-            # keep the shared base backsolve, apply the masked rank-k
-            # correction per sample.
-            solution = np.empty((self.size, num_samples))
-            for s in range(num_samples):
-                g = conductances[s]
-                active = g > 0.0
-                column = np.array(base_block[:, s])
-                if np.any(active):
-                    u_active = self.update_vectors[:, active]
-                    core = self._core[np.ix_(active, active)].copy()
-                    core[np.diag_indices_from(core)] += 1.0 / g[active]
-                    try:
-                        coefficients = np.linalg.solve(
-                            core, u_active.T @ column
-                        )
-                    except np.linalg.LinAlgError as exc:
-                        raise SolverError(
-                            f"Woodbury core solve failed: {exc}"
-                        ) from exc
-                    column = column - (
-                        self._base_inverse_u[:, active] @ coefficients
-                    )
-                solution[:, s] = column
-        if not np.all(np.isfinite(solution)):
-            raise SolverError("Woodbury solve produced non-finite values")
-        return solution
+        return self._solve(conductances, rhs)
 
     def _device_operators(self):
-        """Upload U and A0^-1 U to the device once (counted transfers)."""
+        """Upload U and W to the backend once (counted transfers)."""
         if self._device_ops is None:
             self._device_ops = (
                 self.backend.to_device(self.update_vectors),
@@ -302,42 +207,65 @@ class WoodburySolver:
             )
         return self._device_ops
 
-    def _solve_batch_device(self, conductances, rhs, shared_rhs,
-                            num_samples):
-        """The gemm-ordered blocked solve in the backend's memory space.
+    def _solve(self, conductances, rhs):
+        """The capacitance-form update for validated inputs.
 
-        Exactly the same algebra as the host path, but the corrections
-        are one BLAS-3 product instead of per-column gemvs -- the
-        natural device shape -- so results match the per-sample path
-        within the backend's declared ``equivalence`` tier rather than
-        bitwise.  Per call: one RHS upload, one cores upload (inside
-        ``batched_core_solve``), one solution download, plus the
-        one-time operator uploads -- every one accounted in
-        ``solver.device_transfers``.
+        Runs in the backend's memory space: per call one RHS upload,
+        one deviation upload, one cores upload (inside
+        ``batched_core_solve``) and one solution download, plus the
+        one-time operator uploads -- each counted in
+        ``solver.device_transfers`` on device backends.
         """
         backend = self.backend
-        rhs_device = backend.to_device(np.ascontiguousarray(rhs))
-        base = self._handle.backsolve(rhs_device)
-        telemetry.increment("solver.blocked_solves")
-        u_device, base_inverse_u_device = self._device_operators()
-        cores = np.repeat(self._core[None, :, :], num_samples, axis=0)
-        diag = np.arange(self.rank)
-        cores[:, diag, diag] += 1.0 / conductances
-        if shared_rhs:
-            rhs_core = backend.broadcast_rows(
-                u_device.T @ base, num_samples
-            )
-            base_block = backend.broadcast_columns(base, num_samples)
+        num_samples = conductances.shape[0]
+        x0 = self._handle.backsolve(
+            backend.to_device(np.ascontiguousarray(rhs))
+        )
+        u, w = self._device_operators()
+        projected = u.T @ x0
+        if rhs.ndim == 1:
+            projected = backend.broadcast_rows(projected, num_samples)
+            x0 = backend.broadcast_columns(x0, num_samples)
         else:
-            rhs_core = (u_device.T @ base).T
-            base_block = base
+            projected = projected.T
+        delta = conductances - self.nominal_conductances
+        update = delta[:, :, None] * self._core
+        cores = np.eye(self.rank) + update
+        _check_cores(cores, update)
         try:
-            coefficients = backend.batched_core_solve(cores, rhs_core)
+            coefficients = backend.batched_core_solve(
+                cores, backend.to_device(delta) * projected
+            )
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"Woodbury core solve failed: {exc}") from exc
-        solution = backend.from_device(
-            base_block - base_inverse_u_device @ coefficients.T
-        )
+        solution = backend.from_device(x0 - w @ coefficients.T)
         if not np.all(np.isfinite(solution)):
             raise SolverError("Woodbury solve produced non-finite values")
         return solution
+
+
+def _check_cores(cores, update):
+    """Refuse numerically singular cores ``I + D C`` (detached stamps).
+
+    ``update`` is ``D C``; see :data:`MAX_CORE_CONDITION` for the
+    measure.  1-norms are largest absolute column sums.
+    """
+    if not cores.shape[-1]:
+        return
+    try:
+        inverse = np.linalg.inv(cores)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"stamped system is singular: {exc}") from exc
+    condition = (
+        (1.0 + np.abs(update).sum(axis=1).max(axis=1))
+        * np.abs(inverse).sum(axis=1).max(axis=1)
+    )
+    bad = ~(condition <= MAX_CORE_CONDITION)
+    if np.any(bad):
+        raise SolverError(
+            f"stamped system is singular for {int(bad.sum())}/"
+            f"{cores.shape[0]} samples (capacitance condition "
+            f"{float(np.max(condition[bad])):.3e} > "
+            f"{MAX_CORE_CONDITION:.0e}); the conductances detach part "
+            f"of the system"
+        )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.coupled.electrothermal import CoupledSolver
-from repro.errors import SolverError
+from repro.errors import ConvergenceError, SolverError
 from repro.solvers.time_integration import TimeGrid
 
 from .conftest import build_wire_bridge_problem
@@ -184,6 +184,19 @@ class TestStationary:
             stationary.temperatures[: problem.grid.num_nodes],
         )
         assert losses == pytest.approx(stationary.total_power(), rel=1e-3)
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_failed_step_restores_drive_scale(self, mode):
+        """A step that fails to converge must not leave its drive scale
+        behind for a later stationary solve."""
+        problem = build_wire_bridge_problem()
+        solver = CoupledSolver(problem, mode=mode, max_iterations=1)
+        with pytest.raises(ConvergenceError):
+            solver.step_once(problem.initial_temperatures(), 1.0,
+                             drive_scale=0.5)
+        fresh = CoupledSolver(problem, mode=mode, max_iterations=1)
+        assert np.array_equal(solver.solve_stationary().temperatures,
+                              fresh.solve_stationary().temperatures)
 
     def test_stationary_requires_heat_path(self, small_grid, copper_field):
         from repro.coupled.problem import ElectrothermalProblem

@@ -109,4 +109,6 @@ class TestSolverCrossChecks:
         deltas = np.full(12, 0.17)
         trace_fast = fast.evaluate_traces(deltas)
         trace_full = full.evaluate_traces(deltas)
-        assert np.allclose(trace_fast, trace_full, atol=0.5)
+        # The frozen-field-material budget: 0.19 K of a 41 K rise on the
+        # coarse mesh (DESIGN.md "The solver fast path").
+        assert np.allclose(trace_fast, trace_full, atol=0.25)

@@ -68,18 +68,18 @@ class TestCacheBehavior:
         cache = FactorizationCache()
         clean = _spd()
         padded = (clean - clean) + clean
-        cache.splu(clean)
-        cache.splu(padded)
+        cache.factorize(clean)
+        cache.factorize(padded)
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_symmetric_mode_is_part_of_the_key(self):
         cache = FactorizationCache()
         matrix = _spd()
-        lu_general = cache.splu(matrix)
-        lu_symmetric = cache.splu(matrix, symmetric=True)
-        assert lu_general is not lu_symmetric
+        general = cache.factorize(matrix)
+        symmetric = cache.factorize(matrix, symmetric=True)
+        assert general.lu is not symmetric.lu
         assert cache.stats()["entries"] == 2
-        assert cache.splu(matrix, symmetric=True) is lu_symmetric
+        assert cache.factorize(matrix, symmetric=True) is symmetric
 
     def test_symmetric_mode_solves_spd_systems(self):
         matrix = _spd(n=30, seed=3)
@@ -90,7 +90,7 @@ class TestCacheBehavior:
     def test_lru_eviction_bound(self):
         cache = FactorizationCache(max_entries=2)
         for seed in range(4):
-            cache.splu(_spd(seed=seed))
+            cache.factorize(_spd(seed=seed))
         assert len(cache) == 2
 
     def test_invalid_max_entries(self):
@@ -137,15 +137,6 @@ class TestBackendKeyedIsolation:
         after = cache.stats()
         assert after["hits"] == middle["hits"] + 2
         assert after["misses"] == middle["misses"]
-
-    def test_splu_accessor_is_the_numpy_backend_view(self):
-        cache = FactorizationCache()
-        matrix = _spd()
-        handle = cache.factorize(matrix, backend="numpy")
-        # The legacy accessor returns the same underlying SuperLU
-        # object -- one factorization, two views.
-        assert cache.splu(matrix) is handle.lu
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_default_backend_resolution(self):
         cache = FactorizationCache()
