@@ -58,12 +58,8 @@ def test_ablation_time_step(benchmark):
     # Adaptive controller at a tolerance matched to the 50-step error.
     solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
 
-    def step(state, dt):
-        new_state, _, _ = solver._step_fast(state, dt)
-        return new_state
-
     adaptive = adaptive_implicit_euler(
-        step,
+        solver.step_once,
         problem.initial_temperatures(),
         end_time=END_TIME,
         initial_dt=1.0,

@@ -21,7 +21,7 @@ warm wall-clock, and that the blocked traces match the loop to 1e-10
 relative on every backend.
 
 ``--backend <name>`` runs the blocked configuration on a registered
-array backend (``numpy``, ``devicesim``, ``cupy``) while the per-sample
+array backend (``numpy``, ``devicesim``) while the per-sample
 loop stays on the default backend; the ``BENCH_batched_solves.json``
 artifact records the backend name plus its cold/warm device-transfer
 counts.
@@ -224,7 +224,7 @@ def main(argv=None):
     parser.add_argument(
         "--backend", default=None,
         help="array backend for the blocked configuration (a registered "
-             "name: numpy, devicesim, cupy); default resolution rules "
+             "name: numpy, devicesim); default resolution rules "
              "apply when omitted",
     )
     arguments = parser.parse_args(argv)

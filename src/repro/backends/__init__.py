@@ -1,19 +1,16 @@
 """Pluggable array backends for the solver stack.
 
 See :mod:`repro.backends.base` for the protocol and DESIGN.md "Array
-backends" for the architecture.  Three backends ship built in:
+backends" for the architecture.  Two backends ship built in, and CI
+runs the solver suites under both:
 
 * ``numpy`` -- the scipy ``splu`` + numpy reference path (the
   default);
-* ``cupy`` -- GPU execution behind the ``[gpu]`` optional extra,
-  import-guarded with a clear error naming the extra when absent;
 * ``devicesim`` -- a CPU test double enforcing device semantics
   (separate memory space, accounted transfers) so CI
   exercises the device seams without GPU hardware.
 
-Importing this package registers all three (the CuPy import guard fires
-at *construction*, not registration, so listing backends never requires
-a GPU).
+Importing this package registers both.
 """
 
 from .base import ArrayBackend, FactorizationHandle
@@ -26,7 +23,6 @@ from .registry import (
 
 # Register the built-in backends (import order matters only for the
 # registry side effect).
-from . import cupy_backend  # noqa: E402,F401
 from . import devicesim  # noqa: E402,F401
 from . import numpy_backend  # noqa: E402,F401
 from .devicesim import DeviceArray, DeviceSimBackend

@@ -6,8 +6,8 @@ sparse base factorization behind :class:`~repro.solvers.woodbury.
 WoodburySolver` (one multi-RHS backsolve per time step) and the stacked
 ``(S, k, k)`` batched core solve.  An :class:`ArrayBackend` owns both
 seams plus the host/device memory boundary around them, so a device
-runtime (CuPy) or a test double (``devicesim``) slots in without the
-solver layer knowing which substrate it runs on.
+runtime or a test double (``devicesim``) slots in without the solver
+layer knowing which substrate it runs on.
 
 Transfers between the host and the device memory space go through
 :meth:`~ArrayBackend.to_device` / :meth:`~ArrayBackend.from_device`
@@ -77,11 +77,11 @@ class ArrayBackend:
         raise NotImplementedError
 
     # -- the two numerical seams ---------------------------------------
-    def factorize(self, base_matrix, symmetric=False):
-        """Factorize a sparse base matrix into a
+    def factorize(self, base_matrix):
+        """Factorize a sparse SPD base matrix into a
         :class:`FactorizationHandle`.  Prefer
         :meth:`repro.solvers.cache.FactorizationCache.factorize`, which
-        memoizes per ``(fingerprint, symmetric, backend.name)``."""
+        memoizes per ``(fingerprint, backend.name)``."""
         raise NotImplementedError
 
     def batched_core_solve(self, cores, rhs):

@@ -128,17 +128,15 @@ class DeviceSimBackend(ArrayBackend):
         self._count_transfer()
         return np.array(_unwrap(array, "from_device"))
 
-    def factorize(self, base_matrix, symmetric=False):
+    def factorize(self, base_matrix):
         from ..solvers.cache import checked_splu
 
-        return DeviceSimFactorization(
-            checked_splu(base_matrix, symmetric=symmetric)
-        )
+        return DeviceSimFactorization(checked_splu(base_matrix))
 
     def batched_core_solve(self, cores, rhs):
         # The (S, k, k) cores are assembled on the host (cheap, data-
         # dependent) and uploaded here -- a counted transfer, exactly
-        # like the cores upload a CuPy backend pays.
+        # like the cores upload a GPU backend pays.
         cores_device = self.to_device(cores)
         rhs_data = _unwrap(rhs, "batched_core_solve")
         return DeviceArray(

@@ -31,12 +31,10 @@ class NumpyBackend(ArrayBackend):
     def from_device(self, array):
         return np.asarray(array, dtype=float)
 
-    def factorize(self, base_matrix, symmetric=False):
+    def factorize(self, base_matrix):
         from ..solvers.cache import checked_splu
 
-        return NumpyFactorization(
-            checked_splu(base_matrix, symmetric=symmetric)
-        )
+        return NumpyFactorization(checked_splu(base_matrix))
 
     def batched_core_solve(self, cores, rhs):
         return np.linalg.solve(cores, rhs[..., None])[..., 0]

@@ -10,9 +10,7 @@ Backends are process singletons: the first ``get_array_backend(name)``
 constructs the instance, later calls return the same object, so
 telemetry state (``transfer_count``) accumulates coherently and the
 factorization cache can key handles by ``backend.name`` alone.  A
-factory that *raises* (the CuPy backend without the ``[gpu]`` extra)
-is not cached -- installing the extra and retrying works within one
-process.
+factory that *raises* is not cached, so a retry constructs it again.
 
 The default backend is ``numpy`` unless the ``REPRO_ARRAY_BACKEND``
 environment variable names another registered backend -- that is how

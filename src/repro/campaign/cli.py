@@ -154,8 +154,8 @@ def _add_executor_arguments(parser):
     parser.add_argument(
         "--array-backend", default=None, metavar="NAME",
         help="array backend the workers' solvers run on (numpy | "
-             "devicesim | cupy with the [gpu] extra; default: the "
-             "spec's pinned backend, else numpy); validated up front "
+             "devicesim; default: the spec's pinned backend, else "
+             "numpy); validated up front "
              "and pinned into the store manifest",
     )
 
@@ -248,8 +248,8 @@ def _build_parser():
                            "(with --time-stepping adaptive; default 1.0)")
     spec.add_argument("--array-backend", default=None, metavar="NAME",
                       help="pin an array backend into the spec (numpy | "
-                           "devicesim | cupy; default: unpinned, workers "
-                           "use the numpy reference)")
+                           "devicesim; default: unpinned, workers use "
+                           "the numpy reference)")
     spec.add_argument("--quantize-dt", action=argparse.BooleanOptionalAction,
                       default=None,
                       help="snap adaptive steps onto the geometric dt "
@@ -347,9 +347,9 @@ def _build_parser():
     submit.add_argument("--workers", type=int, default=None,
                         help="worker count for this job's backend")
     submit.add_argument("--array-backend", default=None, metavar="NAME",
-                        help="array backend job option (numpy | devicesim "
-                             "| cupy); validated service-side before the "
-                             "job's workers spawn")
+                        help="array backend job option (numpy | "
+                             "devicesim); validated service-side before "
+                             "the job's workers spawn")
     submit.add_argument("--max-retries", type=int, default=None,
                         metavar="N",
                         help="per-chunk retry budget for this job")

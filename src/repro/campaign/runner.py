@@ -349,8 +349,8 @@ def _pin_array_backend(spec, array_backend):
     """Pin a validated array-backend selection into the scenario options.
 
     Resolving the backend here -- in the submitting process, before any
-    worker spawns -- turns a typo or a missing optional dependency (the
-    CuPy ``[gpu]`` extra) into an immediate, clearly attributed error.
+    worker spawns -- turns a typo into an immediate, clearly attributed
+    error.
     The name is written into ``spec.scenario.options`` (on a copy; the
     caller's spec is never mutated), so it is serialized to workers and
     pinned in the store manifest: resuming under a *different* backend

@@ -15,7 +15,8 @@ every step:
 Two execution modes:
 
 * ``mode="full"`` -- everything reassembled from the current iterate
-  (the reference scheme);
+  (the reference scheme).  The steady state is the same full-mode fixed
+  point with a zero capacitance rate ``C/dt`` (``dt = inf``);
 * ``mode="fast"`` -- field material matrices frozen at the initial
   temperature so both base matrices can be LU-factorized *once*; the only
   matrix changes left are the rank-``n_segments`` bonding wire stamps,
@@ -23,7 +24,9 @@ Two execution modes:
   nonlinearity, which converges through the fixed point on the right-hand
   side.  This is the Monte Carlo fast path: the wire nonlinearities (the
   dominant electrothermal feedback of this application) are retained
-  exactly.
+  exactly.  One step advances an ``(n, S)`` temperature block, one
+  column per wire-length sample; the per-sample path is its ``S = 1``
+  case.
 """
 
 from collections import OrderedDict
@@ -307,6 +310,20 @@ class CoupledSolver:
         self._fast_k_th = k_th
         self._fast_th_solvers.clear()  # (re)built per dt on demand
 
+        # Length-invariant segment data of the fast step (material, cross
+        # section, segment count); only the lengths vary per sample.
+        topology = self.topology
+        self._seg_start, self._seg_end, self._seg_wire = (
+            topology.segment_node_indices()
+        )
+        self._materials = [wire.material for wire in topology.wires]
+        self._areas = np.array(
+            [wire.cross_section_area for wire in topology.wires]
+        )
+        self._num_segments = np.array(
+            [wire.num_segments for wire in topology.wires], dtype=int
+        )
+
     def _fast_thermal_solver(self, dt):
         """The per-dt thermal Woodbury solver (bounded LRU map).
 
@@ -411,48 +428,84 @@ class CoupledSolver:
         matrix = k_el + self._wire_stamp_matrix(g_el)
         a_ff, rhs = self._reduce_electrical(matrix)
         phi = self._expand_electrical(self._linear_el.solve(a_ff, rhs))
-        return phi, cell_t, lambda_diag, g_el
+        return phi, cell_t, lambda_diag
 
-    def _solve_electrical_fast(self, t_star):
-        g_el = self.topology.segment_electrical_conductances(t_star)
-        phi_free = self._fast_el.solve(
-            g_el, self._fast_el_rhs * self._el_scale
-        )
-        return self._expand_electrical(phi_free), g_el
+    def _segment_conductances_block(self, seg_t, lengths, electrical):
+        """``(k, S)`` per-segment conductances at the iterate block.
 
-    def _joule_sources(self, phi, t_star, cell_t=None, fast=False):
-        """Field + wire Joule node powers at the iterate."""
-        grid_phi = phi[: self.n_grid]
-        if fast:
-            ex, ey, ez = self.discretization.cell_field_components(grid_phi)
-            density = self._fast_sigma_cells * (ex * ex + ey * ey + ez * ez)
-        else:
-            density = joule_cell_power_density(
-                self.discretization, grid_phi, cell_t
+        ``lengths`` is the ``(S, W)`` sample block.  Matches the
+        ``LumpedBondWire.segment_*_conductance`` operation order
+        (``sigma * A / L * n_seg``), vectorized over the sample axis per
+        segment.
+        """
+        conductances = np.empty_like(seg_t)
+        for segment in range(self._seg_start.size):
+            wire = int(self._seg_wire[segment])
+            material = self._materials[wire]
+            conductivity = (
+                material.electrical_conductivity(seg_t[segment])
+                if electrical
+                else material.thermal_conductivity(seg_t[segment])
             )
-        q = np.zeros(self.total_size)
-        q[: self.n_grid] = self.discretization.node_power_from_cells(density)
-        field_power = float(np.dot(density, self.discretization.cell_volumes))
-        q_wire, wire_powers = self.topology.joule_powers(phi, t_star)
-        return q + q_wire, wire_powers, field_power
+            conductances[segment] = (
+                conductivity * self._areas[wire] / lengths[:, wire]
+                * self._num_segments[wire]
+            )
+        return conductances
 
-    def _radiation_rhs_explicit(self, t_star):
-        """Radiative source evaluated at the iterate (fast mode)."""
+    def _joule_block(self, phi, g_el):
+        """Field + wire Joule node powers for the whole block.
+
+        ``phi`` is ``(n, S)``, ``g_el`` ``(k, S)``; returns the node
+        power block ``(n, S)``, per-wire powers ``(W, S)`` and the field
+        dissipation ``(S,)``.
+        """
+        disc = self.discretization
+        n_grid = self.n_grid
+        ex, ey, ez = disc.cell_field_components(phi[:n_grid])
+        density = self._fast_sigma_cells[:, None] * (
+            ex * ex + ey * ey + ez * ez
+        )
+        q = np.zeros((self.total_size, phi.shape[1]))
+        q[:n_grid] = disc.node_power_from_cells(density)
+        field_power = disc.cell_volumes @ density
+        drop = phi[self._seg_start] - phi[self._seg_end]
+        power = g_el * drop * drop
+        q_wire = np.zeros_like(q)
+        np.add.at(q_wire, self._seg_start, 0.5 * power)
+        np.add.at(q_wire, self._seg_end, 0.5 * power)
+        wire_power = np.zeros((len(self.topology.wires), phi.shape[1]))
+        np.add.at(wire_power, self._seg_wire, power)
+        return q + q_wire, wire_power, field_power
+
+    def _radiation_block(self, t_star):
+        """Explicit radiative source for the iterate block (or 0.0)."""
         if self.problem.radiation is None:
             return 0.0
-        return self.rad_coeff * (self.t_ambient_rad**4 - t_star**4)
+        return self.rad_coeff[:, None] * (self.t_ambient_rad**4 - t_star**4)
 
     # ------------------------------------------------------------------
     # Time stepping
     # ------------------------------------------------------------------
-    def _step_full(self, t_old, dt, guess=None):
-        """One implicit Euler step in full mode; returns (T_new, diag)."""
-        cache = {}
+    def _step_full(self, t_old, dt, guess, max_iterations, damping):
+        """The full-mode fixed point of one implicit Euler step.
+
+        Starts from ``guess`` (``t_old`` when ``None``) and returns
+        ``(T_new, iterations, phi, wire_powers, field_power)``.
+        ``dt = inf`` zeroes the capacitance rate ``C/dt``: the steady
+        state of :meth:`solve_stationary`.
+        """
+        capacitance_dt = self.capacitance / dt
+        outputs = {}
 
         def advance(t_star):
-            phi, cell_t, lambda_diag, _ = self._solve_electrical_full(t_star)
-            q, wire_powers, field_power = self._joule_sources(
-                phi, t_star, cell_t=cell_t
+            phi, cell_t, lambda_diag = self._solve_electrical_full(t_star)
+            density = joule_cell_power_density(
+                self.discretization, phi[: self.n_grid], cell_t
+            )
+            q, wire_powers = self.topology.joule_powers(phi, t_star)
+            q[: self.n_grid] += self.discretization.node_power_from_cells(
+                density
             )
             k_th = embed_grid_matrix(
                 self.discretization.stiffness_from_diagonal(lambda_diag),
@@ -469,9 +522,9 @@ class CoupledSolver:
                 diagonal[: self.n_grid] += rad_diag
                 rhs_bc[: self.n_grid] += rad_rhs
             matrix = (
-                sp.diags(self.capacitance / dt) + k_th + sp.diags(diagonal)
+                sp.diags(capacitance_dt) + k_th + sp.diags(diagonal)
             ).tocsr()
-            rhs = self.capacitance / dt * t_old + q + rhs_bc
+            rhs = capacitance_dt * t_old + q + rhs_bc
             if self.problem.thermal_dirichlet:
                 reduced = apply_dirichlet(
                     matrix, rhs, self.problem.thermal_dirichlet
@@ -481,55 +534,126 @@ class CoupledSolver:
                 )
             else:
                 t_new = self._linear_th.solve(matrix.tocsc(), rhs)
-            cache["phi"] = phi
-            cache["wire_powers"] = wire_powers
-            cache["field_power"] = field_power
+            outputs["phi"] = phi
+            outputs["wire_powers"] = wire_powers
+            outputs["field_power"] = float(
+                np.dot(density, self.discretization.cell_volumes)
+            )
             return t_new
 
         result = fixed_point(
             advance,
             t_old if guess is None else guess,
             tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            damping=self.damping,
+            max_iterations=max_iterations,
+            damping=damping,
         )
-        self.metrics.increment("coupled_steps")
-        telemetry.increment("solver.coupled_steps")
-        return result.solution, result.iterations, cache
+        return (result.solution, result.iterations, outputs["phi"],
+                outputs["wire_powers"], outputs["field_power"])
 
-    def _step_fast(self, t_old, dt, guess=None):
-        """One implicit Euler step in fast (Woodbury) mode."""
+    def _step_fast(self, t_old, dt, lengths, guess=None):
+        """One fast-mode implicit Euler step for an ``(n, S)`` block.
+
+        Column ``s`` of ``t_old`` (and of the optional warm start
+        ``guess``) is the sample with wire lengths row ``s`` of the
+        ``(S, W)`` block ``lengths``; the drive scale is ``_el_scale``.
+        Returns ``(T_new, iterations, phi, wire_powers, field_power)``
+        with shapes ``(n, S)``, ``(S,)``, ``(n, S)``, ``(W, S)`` and
+        ``(S,)``.
+
+        The fixed point (``x <- x + w (advance(x) - x)``, max-norm
+        residual, strict ``< tolerance``) runs with an active-sample
+        mask: every iteration only evaluates the columns still above
+        tolerance, and a sample's outputs (``phi``, wire powers, field
+        power) are frozen at its converging iteration -- the same "cache
+        from the last advance call" contract as
+        :func:`~repro.solvers.newton.fixed_point`.
+        """
         thermal = self._fast_thermal_solver(dt)
-        cache = {}
-
-        def advance(t_star):
-            phi, _ = self._solve_electrical_fast(t_star)
-            q, wire_powers, field_power = self._joule_sources(
-                phi, t_star, fast=True
+        rhs_el = self._fast_el_rhs * self._el_scale
+        fixed_phi = self.el_fixed_values * self._el_scale
+        capacitance_dt = self.capacitance / dt
+        num_samples = t_old.shape[1]
+        current = np.array(t_old if guess is None else guess, dtype=float)
+        active = np.arange(num_samples)
+        iterations = np.zeros(num_samples, dtype=int)
+        phi_out = np.zeros((self.total_size, num_samples))
+        wire_power_out = np.zeros((len(self.topology.wires), num_samples))
+        field_power_out = np.zeros(num_samples)
+        residual = np.zeros(num_samples)
+        for iteration in range(1, self.max_iterations + 1):
+            t_star = current[:, active]
+            sample_lengths = lengths[active]
+            seg_t = 0.5 * (t_star[self._seg_start] + t_star[self._seg_end])
+            g_el = self._segment_conductances_block(
+                seg_t, sample_lengths, electrical=True
             )
-            g_th = self.topology.segment_thermal_conductances(t_star)
+            phi_free = self._fast_el.solve_batch(g_el.T, rhs_el)
+            phi = np.empty((self.total_size, active.size))
+            phi[self.el_free] = phi_free
+            phi[self.el_fixed] = fixed_phi[:, None]
+            q, wire_power, field_power = self._joule_block(phi, g_el)
+            g_th = self._segment_conductances_block(
+                seg_t, sample_lengths, electrical=False
+            )
             rhs = (
-                self.capacitance / dt * t_old
+                capacitance_dt[:, None] * t_old[:, active]
                 + q
-                + self.conv_rhs
-                + self._radiation_rhs_explicit(t_star)
+                + self.conv_rhs[:, None]
+                + self._radiation_block(t_star)
             )
-            t_new = thermal.solve(g_th, rhs)
-            cache["phi"] = phi
-            cache["wire_powers"] = wire_powers
-            cache["field_power"] = field_power
-            return t_new
+            t_new = thermal.solve_batch(g_th.T, rhs)
+            damped = self.damping * (t_new - t_star)
+            current[:, active] = t_star + damped
+            step_norm = np.max(np.abs(damped), axis=0)
+            # Outputs track the latest advance of every active sample;
+            # once a sample converges it leaves ``active`` and its last
+            # written values stand.
+            phi_out[:, active] = phi
+            wire_power_out[:, active] = wire_power
+            field_power_out[active] = field_power
+            residual[active] = step_norm
+            converged = step_norm < self.tolerance
+            iterations[active[converged]] = iteration
+            active = active[~converged]
+            if not active.size:
+                break
+        if active.size:
+            worst = float(np.max(residual[active]))
+            raise ConvergenceError(
+                f"fixed-point iteration did not converge within "
+                f"{self.max_iterations} iterations for "
+                f"{active.size}/{num_samples} blocked samples "
+                f"(worst step norm {worst:.3e}, tol "
+                f"{self.tolerance:.3e})",
+                iterations=self.max_iterations,
+                residual=worst,
+            )
+        return current, iterations, phi_out, wire_power_out, field_power_out
 
-        result = fixed_point(
-            advance,
-            t_old if guess is None else guess,
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            damping=self.damping,
-        )
+    def _step(self, t_old, dt, guess=None):
+        """One implicit Euler step of the bound sample (either mode).
+
+        Fast mode runs :meth:`_step_fast` with ``S = 1``.  Returns
+        ``(T_new, iterations, phi, wire_powers, field_power)``.
+        """
+        if self.mode == "fast":
+            t_new, iterations, phi, wire_powers, field_power = (
+                self._step_fast(
+                    t_old[:, None], dt,
+                    np.array([[wire.length for wire in self.topology.wires]]),
+                    guess=None if guess is None else guess[:, None],
+                )
+            )
+            outputs = (t_new[:, 0], int(iterations[0]), phi[:, 0],
+                       wire_powers[:, 0], float(field_power[0]))
+        else:
+            outputs = self._step_full(
+                t_old, dt, guess, self.max_iterations, self.damping
+            )
         self.metrics.increment("coupled_steps")
         telemetry.increment("solver.coupled_steps")
-        return result.solution, result.iterations, cache
+        return outputs
 
     def step_once(self, temperatures, dt, drive_scale=1.0, guess=None):
         """One implicit Euler step of the coupled system; the new state.
@@ -545,13 +669,12 @@ class CoupledSolver:
         controller's linear predictor) -- the converged solution is the
         same within the fixed-point tolerance, just cheaper to reach.
         """
-        step = self._step_fast if self.mode == "fast" else self._step_full
         self._el_scale = float(drive_scale)
         try:
-            new_state, _, _ = step(
+            new_state = self._step(
                 np.asarray(temperatures, dtype=float), float(dt),
                 guess=None if guess is None else np.asarray(guess, dtype=float),
-            )
+            )[0]
         finally:
             self._el_scale = 1.0
         return new_state
@@ -594,20 +717,20 @@ class CoupledSolver:
         fields = [temperatures.copy()] if store_fields else None
         phi = np.zeros(self.total_size)
 
-        step = self._step_fast if self.mode == "fast" else self._step_full
         times = time_grid.times
         try:
             for step_index in range(time_grid.num_steps):
                 self._el_scale = float(drive(times[step_index + 1]))
-                temperatures, n_iter, cache = step(temperatures, dt)
+                temperatures, n_iter, phi, wire_powers, field_power = (
+                    self._step(temperatures, dt)
+                )
                 iterations.append(n_iter)
-                phi = cache["phi"]
                 wire_t.append(self.topology.wire_temperatures(temperatures))
                 wire_peak.append(
                     self.topology.wire_peak_temperatures(temperatures)
                 )
-                wire_p.append(cache["wire_powers"])
-                field_p.append(cache["field_power"])
+                wire_p.append(wire_powers)
+                field_p.append(field_power)
                 if store_fields:
                     fields.append(temperatures.copy())
         finally:
@@ -636,8 +759,10 @@ class CoupledSolver:
     def solve_stationary(self, max_iterations=200, damping=0.8):
         """Steady state of the coupled system (d/dt = 0).
 
-        Requires a heat escape path (convection, radiation or thermal
-        Dirichlet), otherwise the thermal operator is singular.
+        The full-mode fixed point of :meth:`_step_full` at a zero
+        capacitance rate, in either mode.  Requires a heat escape path
+        (convection, radiation or thermal Dirichlet), otherwise the
+        thermal operator is singular.
         """
         problem = self.problem
         if (
@@ -649,57 +774,17 @@ class CoupledSolver:
                 "steady state needs convection, radiation or a thermal "
                 "Dirichlet condition to be well-posed"
             )
-        t_old = problem.initial_temperatures()
-        cache = {}
-
-        def advance(t_star):
-            phi, cell_t, lambda_diag, _ = self._solve_electrical_full(t_star)
-            q, wire_powers, field_power = self._joule_sources(
-                phi, t_star, cell_t=cell_t
-            )
-            k_th = embed_grid_matrix(
-                self.discretization.stiffness_from_diagonal(lambda_diag),
-                self.total_size,
-            )
-            g_th = self.topology.segment_thermal_conductances(t_star)
-            k_th = k_th + self._wire_stamp_matrix(g_th)
-            diagonal = self.conv_diag.copy()
-            rhs_bc = self.conv_rhs.copy()
-            if problem.radiation is not None:
-                rad_diag, rad_rhs = problem.radiation.linearized_contributions(
-                    self.discretization.dual, t_star[: self.n_grid]
-                )
-                diagonal[: self.n_grid] += rad_diag
-                rhs_bc[: self.n_grid] += rad_rhs
-            matrix = (k_th + sp.diags(diagonal)).tocsr()
-            rhs = q + rhs_bc
-            if problem.thermal_dirichlet:
-                reduced = apply_dirichlet(matrix, rhs, problem.thermal_dirichlet)
-                t_new = reduced.expand(
-                    self._linear_th.solve(reduced.matrix, reduced.rhs)
-                )
-            else:
-                t_new = self._linear_th.solve(matrix.tocsc(), rhs)
-            cache["phi"] = phi
-            cache["wire_powers"] = wire_powers
-            cache["field_power"] = field_power
-            return t_new
-
-        result = fixed_point(
-            advance,
-            t_old,
-            tolerance=self.tolerance,
-            max_iterations=max_iterations,
-            damping=damping,
+        temperatures, iterations, phi, wire_powers, field_power = (
+            self._step_full(problem.initial_temperatures(), np.inf, None,
+                            max_iterations, damping)
         )
-        temperatures = result.solution
         return StationaryResult(
             temperatures=temperatures,
-            potentials=cache["phi"],
+            potentials=phi,
             wire_temperatures=self.topology.wire_temperatures(temperatures),
-            wire_powers=cache["wire_powers"],
-            field_joule_power=cache["field_power"],
-            iterations=result.iterations,
+            wire_powers=wire_powers,
+            field_joule_power=field_power,
+            iterations=iterations,
             wire_names=problem.wire_names(),
         )
 
@@ -751,30 +836,23 @@ class BlockedTransientResult:
 class BlockedCoupledSolver:
     """Sample-blocked transients over a fast-mode :class:`CoupledSolver`.
 
-    Advances all ``S`` samples of a Monte Carlo chunk through the same
-    time grid simultaneously, carrying an ``(n, S)`` temperature block
-    (one column per sample).  Per fixed-point iteration the electrical
-    and thermal Woodbury corrections are applied for the whole block at
-    once (:meth:`~repro.solvers.woodbury.WoodburySolver.solve_batch`),
-    so the per-sample Python loop collapses into BLAS-3 linear algebra
-    sharing one factorized base.
-
-    Convergence is tracked per sample with an active-sample mask:
-    converged columns stop paying iterations (and their cached
-    ``phi`` / wire powers are the ones from their converging iteration,
-    matching the per-sample fixed point), while the rest keep iterating.
+    Binds ``(S, W)`` per-sample wire lengths and advances all ``S``
+    samples of a Monte Carlo chunk through the same time grid at once:
+    every time step is one call of the wrapped solver's fast step over
+    the ``(n, S)`` temperature block, whose Woodbury corrections run for
+    the whole block per fixed-point iteration
+    (:meth:`~repro.solvers.woodbury.WoodburySolver.solve_batch`).  The
+    per-sample :meth:`CoupledSolver.solve_transient` is the same step at
+    ``S = 1``; both share every factorization, including the per-``dt``
+    thermal solver map.
 
     Requirements (checked at construction):
 
     * the wrapped solver runs ``mode="fast"`` (shared frozen bases);
     * single-segment wires only -- multi-segment wires put
       length-dependent heat capacities on internal nodes, which would
-      need a per-sample thermal base (callers fall back to the
-      per-sample loop for those).
-
-    Only the 12 wire conductances differ between samples, so the block
-    shares every factorization with the per-sample path -- including the
-    per-``dt`` thermal solver map of the wrapped solver.
+      need a per-sample capacitance (callers fall back to the per-sample
+      loop for those).
     """
 
     def __init__(self, solver):
@@ -794,27 +872,10 @@ class BlockedCoupledSolver:
                 "per-sample lengths); use the per-sample path"
             )
         self.solver = solver
-        topology = solver.topology
-        self.num_wires = len(topology.wires)
-        starts, ends, wires = topology.segment_node_indices()
-        self._seg_start = starts
-        self._seg_end = ends
-        self._seg_wire = wires
-        self._ep_start, self._ep_end = topology.endpoint_node_indices()
-        # Length-invariant wire data (material, cross section, segment
-        # count); only the lengths vary per sample.
-        self._materials = [wire.material for wire in topology.wires]
-        self._areas = np.array(
-            [wire.cross_section_area for wire in topology.wires]
-        )
-        self._num_segments = np.array(
-            [wire.num_segments for wire in topology.wires], dtype=int
-        )
+        self.num_wires = len(solver.topology.wires)
+        self._ep_start, self._ep_end = solver.topology.endpoint_node_indices()
         self._lengths = None
 
-    # ------------------------------------------------------------------
-    # Monte Carlo support
-    # ------------------------------------------------------------------
     def set_wire_lengths_block(self, lengths):
         """Bind the ``(S, W)`` per-sample wire lengths for the next solve.
 
@@ -831,151 +892,6 @@ class BlockedCoupledSolver:
         if not np.all(lengths > 0.0):
             raise SolverError("wire lengths must be positive")
         self._lengths = lengths
-
-    # ------------------------------------------------------------------
-    # Blocked physics evaluation
-    # ------------------------------------------------------------------
-    def _segment_conductances_block(self, seg_t, lengths, electrical):
-        """``(k, S)`` per-segment conductances at the iterate block.
-
-        Matches the scalar ``LumpedBondWire.segment_*_conductance``
-        operation order exactly (``sigma * A / L * n_seg``), vectorized
-        over the sample axis per wire -- the property models are plain
-        ufunc arithmetic, so array evaluation is bitwise identical to
-        the per-sample scalar calls.
-        """
-        conductances = np.empty_like(seg_t)
-        for segment in range(self._seg_start.size):
-            wire = int(self._seg_wire[segment])
-            material = self._materials[wire]
-            conductivity = (
-                material.electrical_conductivity(seg_t[segment])
-                if electrical
-                else material.thermal_conductivity(seg_t[segment])
-            )
-            conductances[segment] = (
-                conductivity * self._areas[wire] / lengths[:, wire]
-                * self._num_segments[wire]
-            )
-        return conductances
-
-    def _joule_block(self, phi, g_el):
-        """Field + wire Joule node powers for the whole block.
-
-        ``phi`` is ``(n, S)``, ``g_el`` ``(k, S)``; returns the node
-        power block ``(n, S)``, per-wire powers ``(W, S)`` and the field
-        dissipation ``(S,)``.
-        """
-        solver = self.solver
-        disc = solver.discretization
-        n_grid = solver.n_grid
-        ex, ey, ez = disc.cell_field_components(phi[:n_grid])
-        density = solver._fast_sigma_cells[:, None] * (
-            ex * ex + ey * ey + ez * ez
-        )
-        q = np.zeros((solver.total_size, phi.shape[1]))
-        q[:n_grid] = disc.node_power_from_cells(density)
-        field_power = disc.cell_volumes @ density
-        drop = phi[self._seg_start] - phi[self._seg_end]
-        power = g_el * drop * drop
-        q_wire = np.zeros_like(q)
-        np.add.at(q_wire, self._seg_start, 0.5 * power)
-        np.add.at(q_wire, self._seg_end, 0.5 * power)
-        wire_power = np.zeros((self.num_wires, phi.shape[1]))
-        np.add.at(wire_power, self._seg_wire, power)
-        return q + q_wire, wire_power, field_power
-
-    def _radiation_block(self, t_star):
-        """Explicit radiative source for the iterate block (or 0.0)."""
-        solver = self.solver
-        if solver.problem.radiation is None:
-            return 0.0
-        return solver.rad_coeff[:, None] * (
-            solver.t_ambient_rad**4 - t_star**4
-        )
-
-    # ------------------------------------------------------------------
-    # Time stepping
-    # ------------------------------------------------------------------
-    def _step_block(self, t_old, dt, scale):
-        """One implicit Euler step for the whole ``(n, S)`` block.
-
-        The per-sample fixed point (``x <- x + w (advance(x) - x)``,
-        max-norm residual, strict ``< tolerance``) runs with an
-        active-sample mask: every iteration only evaluates the columns
-        still above tolerance, and a sample's outputs (``phi``, wire
-        powers, field power) are frozen at its converging iteration --
-        the same "cache from the last advance call" contract as
-        :func:`~repro.solvers.newton.fixed_point`.
-        """
-        solver = self.solver
-        thermal = solver._fast_thermal_solver(dt)
-        rhs_el = solver._fast_el_rhs * scale
-        fixed_phi = solver.el_fixed_values * scale
-        capacitance_dt = solver.capacitance / dt
-        num_samples = t_old.shape[1]
-        current = t_old.copy()
-        active = np.arange(num_samples)
-        iterations = np.zeros(num_samples, dtype=int)
-        phi_out = np.zeros((solver.total_size, num_samples))
-        wire_power_out = np.zeros((self.num_wires, num_samples))
-        field_power_out = np.zeros(num_samples)
-        residual = np.zeros(num_samples)
-        for iteration in range(1, solver.max_iterations + 1):
-            t_star = current[:, active]
-            lengths = self._lengths[active]
-            seg_t = 0.5 * (
-                t_star[self._seg_start] + t_star[self._seg_end]
-            )
-            g_el = self._segment_conductances_block(
-                seg_t, lengths, electrical=True
-            )
-            phi_free = solver._fast_el.solve_batch(g_el.T, rhs_el)
-            phi = np.empty((solver.total_size, active.size))
-            phi[solver.el_free] = phi_free
-            phi[solver.el_fixed] = fixed_phi[:, None]
-            q, wire_power, field_power = self._joule_block(phi, g_el)
-            g_th = self._segment_conductances_block(
-                seg_t, lengths, electrical=False
-            )
-            rhs = (
-                capacitance_dt[:, None] * t_old[:, active]
-                + q
-                + solver.conv_rhs[:, None]
-                + self._radiation_block(t_star)
-            )
-            t_new = thermal.solve_batch(g_th.T, rhs)
-            damped = solver.damping * (t_new - t_star)
-            current[:, active] = t_star + damped
-            step_norm = np.max(np.abs(damped), axis=0)
-            # Outputs track the latest advance of every active sample;
-            # once a sample converges it leaves ``active`` and its last
-            # written values stand.
-            phi_out[:, active] = phi
-            wire_power_out[:, active] = wire_power
-            field_power_out[active] = field_power
-            residual[active] = step_norm
-            converged = step_norm < solver.tolerance
-            iterations[active[converged]] = iteration
-            active = active[~converged]
-            if not active.size:
-                break
-        if active.size:
-            worst = float(np.max(residual[active]))
-            raise ConvergenceError(
-                f"fixed-point iteration did not converge within "
-                f"{solver.max_iterations} iterations for "
-                f"{active.size}/{num_samples} blocked samples "
-                f"(worst step norm {worst:.3e}, tol "
-                f"{solver.tolerance:.3e})",
-                iterations=solver.max_iterations,
-                residual=worst,
-            )
-        solver.metrics.increment("coupled_steps", num_samples)
-        telemetry.increment("solver.coupled_steps", num_samples)
-        solver.metrics.increment("blocked_steps")
-        telemetry.increment("solver.blocked_steps")
-        return current, iterations, phi_out, wire_power_out, field_power_out
 
     def solve_transient_block(self, time_grid, waveform=None):
         """Integrate all bound samples over a :class:`TimeGrid` at once.
@@ -1023,15 +939,24 @@ class BlockedCoupledSolver:
         iterations = []
         times = time_grid.times
         dt = time_grid.dt
-        for step_index in range(time_grid.num_steps):
-            scale = float(drive(times[step_index + 1]))
-            (temperatures, n_iter, _, wire_power,
-             field_power) = self._step_block(temperatures, dt, scale)
-            iterations.append(n_iter)
-            wire_t.append(endpoint_mean(temperatures))
-            wire_peak.append(endpoint_peak(temperatures))
-            wire_p.append(wire_power)
-            field_p.append(field_power)
+        try:
+            for step_index in range(time_grid.num_steps):
+                solver._el_scale = float(drive(times[step_index + 1]))
+                (temperatures, n_iter, _, wire_power,
+                 field_power) = solver._step_fast(
+                    temperatures, dt, self._lengths
+                )
+                solver.metrics.increment("coupled_steps", num_samples)
+                telemetry.increment("solver.coupled_steps", num_samples)
+                solver.metrics.increment("blocked_steps")
+                telemetry.increment("solver.blocked_steps")
+                iterations.append(n_iter)
+                wire_t.append(endpoint_mean(temperatures))
+                wire_peak.append(endpoint_peak(temperatures))
+                wire_p.append(wire_power)
+                field_p.append(field_power)
+        finally:
+            solver._el_scale = 1.0
 
         def sample_major(per_step):
             # list of (W, S) per time point -> (S, P, W)

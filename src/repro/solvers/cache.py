@@ -52,24 +52,21 @@ def matrix_fingerprint(matrix):
     return digest.hexdigest()
 
 
-def checked_splu(matrix, symmetric=False):
+def checked_splu(matrix):
     """``splu`` with library-error wrapping (shared by cached/uncached).
 
-    ``symmetric=True`` selects SuperLU's symmetric mode (AT+A minimum
-    degree ordering, no partial pivoting) -- roughly half the
-    factorization time and fill-in for the symmetric positive definite
-    bases of the fast coupled path.  Only pass it for matrices known to
-    be SPD; general matrices keep the pivoted default.
+    Runs SuperLU's symmetric mode (AT+A minimum degree ordering, no
+    partial pivoting) -- roughly half the factorization time and fill-in
+    of the pivoted default on the symmetric positive definite bases of
+    the fast coupled path.  Only pass SPD matrices.
     """
-    kwargs = {}
-    if symmetric:
-        kwargs = {
-            "permc_spec": "MMD_AT_PLUS_A",
-            "diag_pivot_thresh": 0.0,
-            "options": {"SymmetricMode": True},
-        }
     try:
-        return spla.splu(matrix.tocsc(), **kwargs)
+        return spla.splu(
+            matrix.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise SolverError(f"base LU factorization failed: {exc}") from exc
 
@@ -110,21 +107,19 @@ class FactorizationCache:
         """Lifetime cache misses (view over the metrics registry)."""
         return int(self.metrics.counter_value("misses"))
 
-    def factorize(self, matrix, symmetric=False, backend=None):
+    def factorize(self, matrix, backend=None):
         """Backend factorization handle with content-addressed memoization.
 
-        The key is ``(fingerprint, symmetric, backend.name)``: the
-        ``symmetric`` factorization mode is part of it (the same matrix
-        factorized both ways yields two numerically different factor
-        objects), and so is the array backend -- a handle holds
-        backend-specific state (device factor mirrors, memory-space
-        conventions), so the same fingerprint under two backends yields
-        two independent handles, never a cross-backend reuse.
+        The key is ``(fingerprint, backend.name)``: the array backend is
+        part of it because a handle holds backend-specific state
+        (memory-space conventions), so the same fingerprint under two
+        backends yields two independent handles, never a cross-backend
+        reuse.
         """
         from ..backends import get_array_backend
 
         backend = get_array_backend(backend)
-        key = (matrix_fingerprint(matrix), bool(symmetric), backend.name)
+        key = (matrix_fingerprint(matrix), backend.name)
         if key in self._entries:
             self._entries.move_to_end(key)
             self.metrics.increment("hits")
@@ -132,7 +127,7 @@ class FactorizationCache:
             return self._entries[key]
         self.metrics.increment("misses")
         telemetry.increment("cache.misses")
-        handle = backend.factorize(matrix, symmetric=symmetric)
+        handle = backend.factorize(matrix)
         self._entries[key] = handle
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

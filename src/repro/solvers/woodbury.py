@@ -83,11 +83,9 @@ class WoodburySolver:
             + stamps @ sp.diags(self.nominal_conductances) @ stamps.T
         ).tocsc()
         if cache is not None:
-            self._handle = cache.factorize(
-                nominal, symmetric=True, backend=self.backend
-            )
+            self._handle = cache.factorize(nominal, backend=self.backend)
         else:
-            self._handle = self.backend.factorize(nominal, symmetric=True)
+            self._handle = self.backend.factorize(nominal)
         # W = A_nom^-1 U in one multi-RHS triangular sweep, and the
         # capacitance matrix C = U^T W.
         self._base_inverse_u = self._handle.lu.solve(

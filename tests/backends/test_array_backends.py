@@ -16,7 +16,7 @@ from repro.errors import SolverError
 class TestRegistry:
     def test_builtins_registered(self):
         names = registered_array_backends()
-        assert {"numpy", "cupy", "devicesim"} <= set(names)
+        assert {"numpy", "devicesim"} <= set(names)
         assert names == sorted(names)
 
     def test_default_is_numpy(self, monkeypatch):
@@ -58,25 +58,6 @@ class TestRegistry:
 
             registry._FACTORIES.pop("_test_backend", None)
             registry._INSTANCES.pop("_test_backend", None)
-
-
-class TestCupyGuard:
-    def test_missing_extra_is_a_clear_solver_error(self):
-        # The container has no GPU stack; selecting cupy must name the
-        # missing [gpu] extra, not die with a raw ImportError.
-        try:
-            import cupy  # noqa: F401
-        except ImportError:
-            with pytest.raises(SolverError, match=r"\[gpu\]"):
-                get_array_backend("cupy")
-            with pytest.raises(SolverError, match="cupy"):
-                get_array_backend("cupy")
-        else:
-            pytest.skip("cupy installed; the guard does not fire")
-
-    def test_registration_never_requires_cupy(self):
-        # Listing backends is import-safe without the extra.
-        assert "cupy" in registered_array_backends()
 
 
 class TestNumpyBackendIsTheReferencePath:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.coupled.electrothermal import CoupledSolver
+from repro.coupled.electrothermal import BlockedCoupledSolver, CoupledSolver
 from repro.errors import ConvergenceError, SolverError
 from repro.solvers.time_integration import TimeGrid
 
-from .conftest import build_wire_bridge_problem
+from .conftest import MM, build_wire_bridge_problem
 
 
 @pytest.fixture(scope="module")
@@ -68,16 +68,38 @@ class TestFastMode:
         )
 
     def test_fast_exact_when_materials_frozen(self):
-        """With T-independent field materials the two modes coincide."""
-        problem = build_wire_bridge_problem(nonlinear=False)
+        """With T-independent field materials the two modes coincide:
+        full mode is an oracle that shares no code with the fast step.
+        Checked for single- and multi-segment wires and for every row
+        of a sample block."""
         time_grid = TimeGrid(5.0, 10)
-        r_full = CoupledSolver(problem, mode="full",
-                               tolerance=1e-8).solve_transient(time_grid)
-        r_fast = CoupledSolver(problem, mode="fast",
-                               tolerance=1e-8).solve_transient(time_grid)
-        assert np.allclose(
-            r_fast.wire_temperatures, r_full.wire_temperatures, atol=1e-4
-        )
+
+        def solver(mode, num_segments=1):
+            problem = build_wire_bridge_problem(
+                nonlinear=False, num_segments=num_segments
+            )
+            return CoupledSolver(problem, mode=mode, tolerance=1e-8)
+
+        for num_segments in (1, 3):
+            fast = solver("fast", num_segments).solve_transient(time_grid)
+            full = solver("full", num_segments).solve_transient(time_grid)
+            np.testing.assert_allclose(
+                fast.wire_temperatures, full.wire_temperatures,
+                rtol=0.0, atol=1e-6,
+            )
+
+        lengths = np.array([[1.40 * MM], [1.55 * MM], [1.80 * MM]])
+        blocked = BlockedCoupledSolver(solver("fast"))
+        blocked.set_wire_lengths_block(lengths)
+        block = blocked.solve_transient_block(time_grid)
+        full = solver("full")
+        for sample, row in enumerate(lengths):
+            full.set_wire_lengths(row)
+            np.testing.assert_allclose(
+                block.wire_temperatures[sample],
+                full.solve_transient(time_grid).wire_temperatures,
+                rtol=0.0, atol=1e-6,
+            )
 
     def test_fast_with_radiation(self):
         problem = build_wire_bridge_problem(radiation=True)

