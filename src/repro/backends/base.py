@@ -91,13 +91,9 @@ class ArrayBackend:
         and so does the ``(S, k)`` result."""
         raise NotImplementedError
 
-    # -- broadcast helpers (shared-RHS fast path) -----------------------
+    # -- broadcast helper (shared-RHS fast path) ------------------------
     def broadcast_columns(self, vector, num_columns):
         """View an ``(n,)`` device vector as ``(n, num_columns)``."""
-        raise NotImplementedError
-
-    def broadcast_rows(self, vector, num_rows):
-        """View a ``(k,)`` device vector as ``(num_rows, k)``."""
         raise NotImplementedError
 
     def __repr__(self):

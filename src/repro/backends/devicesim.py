@@ -149,12 +149,6 @@ class DeviceSimBackend(ArrayBackend):
             np.broadcast_to(data[:, None], (data.shape[0], num_columns))
         )
 
-    def broadcast_rows(self, vector, num_rows):
-        data = _unwrap(vector, "broadcast_rows")
-        return DeviceArray(
-            np.broadcast_to(data, (num_rows, data.shape[0]))
-        )
-
 
 @register_array_backend("devicesim")
 def _devicesim_backend():

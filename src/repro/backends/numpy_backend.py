@@ -44,9 +44,6 @@ class NumpyBackend(ArrayBackend):
             vector[:, None], (vector.shape[0], num_columns)
         )
 
-    def broadcast_rows(self, vector, num_rows):
-        return np.broadcast_to(vector, (num_rows, vector.shape[0]))
-
 
 @register_array_backend("numpy")
 def _numpy_backend():

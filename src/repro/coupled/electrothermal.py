@@ -29,7 +29,7 @@ Two execution modes:
   case.
 """
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 
 import numpy as np
 import scipy.sparse as sp
@@ -135,6 +135,9 @@ class CoupledSolver:
         self.t_ambient_rad = (
             problem.radiation.t_ambient if problem.radiation is not None else 0.0
         )
+        #: The radiating nodes (nonzero ``rad_coeff``), where the fast
+        #: step evaluates the explicit radiative source.
+        self._rad_nodes = np.flatnonzero(self.rad_coeff)
 
         # Electrical Dirichlet reduction pattern (constant across solves).
         if not problem.electrical_dirichlet:
@@ -300,7 +303,6 @@ class CoupledSolver:
             self.topology.segment_electrical_conductances(initial),
             cache=self.factorization_cache, backend=self.array_backend,
         )
-        self._fast_el_rhs = rhs_el
 
         k_th = embed_grid_matrix(
             self.discretization.stiffness_from_diagonal(lambda_diag),
@@ -322,6 +324,28 @@ class CoupledSolver:
         )
         self._num_segments = np.array(
             [wire.num_segments for wire in topology.wires], dtype=int
+        )
+
+        # The potential basis of the frozen-sigma electrical solve.  A
+        # sample's potentials are ``Phi @ z`` with ``z = [scale; c]``:
+        # the Woodbury solution is ``scale x0 - W c`` for the unit-drive
+        # solution ``x0 = A_nom^-1 b`` and the coefficients ``c`` of
+        # ``WoodburySolver.coefficients``.  Column 0 holds ``x0`` and the
+        # unit contact values, the other columns ``-W`` and zero contact
+        # values.  Field components and wire drops are linear in the
+        # potentials, so their bases are taken once here as well, stacked
+        # into one ``(3 cells + k, k + 1)`` matrix.
+        el = self._fast_el
+        unit_drive = el.base_solve(rhs_el)
+        self._fast_el_projected = el.update_vectors.T @ unit_drive
+        basis = np.zeros((self.total_size, el.rank + 1))
+        basis[self.el_free, 0] = unit_drive
+        basis[self.el_fixed, 0] = self.el_fixed_values
+        basis[self.el_free, 1:] = -el.base_inverse_u
+        self._fast_phi_basis = basis
+        self._fast_joule_basis = np.vstack(
+            self.discretization.cell_field_components(basis[: self.n_grid])
+            + (basis[self._seg_start] - basis[self._seg_end],)
         )
 
     def _fast_thermal_solver(self, dt):
@@ -453,36 +477,55 @@ class CoupledSolver:
             )
         return conductances
 
-    def _joule_block(self, phi, g_el):
-        """Field + wire Joule node powers for the whole block.
+    def _joule_block(self, g_el):
+        """Electrical solve and Joule node powers for the whole block.
 
-        ``phi`` is ``(n, S)``, ``g_el`` ``(k, S)``; returns the node
-        power block ``(n, S)``, per-wire powers ``(W, S)`` and the field
-        dissipation ``(S,)``.
+        ``g_el`` is the ``(k, S)`` wire conductance block.  The solve
+        stops at the ``k`` Woodbury coefficients: field components and
+        wire drops come from the bases of :meth:`_setup_fast` applied to
+        ``z = [scale; c]``.  Returns ``z`` ``(k + 1, S)`` (the
+        potentials are ``_fast_phi_basis @ z``), the node power block
+        ``(n, S)``, per-wire powers ``(W, S)`` and the field dissipation
+        ``(S,)``.
         """
         disc = self.discretization
-        n_grid = self.n_grid
-        ex, ey, ez = disc.cell_field_components(phi[:n_grid])
+        el = self._fast_el
+        backend = el.backend
+        coefficients = backend.from_device(el.coefficients(
+            g_el.T,
+            backend.to_device(self._el_scale * self._fast_el_projected),
+        ))
+        z = np.empty((el.rank + 1, g_el.shape[1]))
+        z[0] = self._el_scale
+        z[1:] = coefficients.T
+        cells = disc.cell_volumes.size
+        values = _basis_product(self._fast_joule_basis, z)
+        ex, ey, ez = (values[i * cells:(i + 1) * cells] for i in range(3))
         density = self._fast_sigma_cells[:, None] * (
             ex * ex + ey * ey + ez * ez
         )
-        q = np.zeros((self.total_size, phi.shape[1]))
-        q[:n_grid] = disc.node_power_from_cells(density)
+        q = np.zeros((self.total_size, z.shape[1]))
+        q[: self.n_grid] = disc.node_power_from_cells(density)
         field_power = disc.cell_volumes @ density
-        drop = phi[self._seg_start] - phi[self._seg_end]
+        drop = values[3 * cells:]
         power = g_el * drop * drop
         q_wire = np.zeros_like(q)
         np.add.at(q_wire, self._seg_start, 0.5 * power)
         np.add.at(q_wire, self._seg_end, 0.5 * power)
-        wire_power = np.zeros((len(self.topology.wires), phi.shape[1]))
+        wire_power = np.zeros((len(self.topology.wires), z.shape[1]))
         np.add.at(wire_power, self._seg_wire, power)
-        return q + q_wire, wire_power, field_power
+        return z, q + q_wire, wire_power, field_power
 
     def _radiation_block(self, t_star):
-        """Explicit radiative source for the iterate block (or 0.0)."""
-        if self.problem.radiation is None:
-            return 0.0
-        return self.rad_coeff[:, None] * (self.t_ambient_rad**4 - t_star**4)
+        """Explicit radiative source of the iterate block on its support.
+
+        Rows ``_rad_nodes`` of ``rad_coeff (T_amb^4 - T*^4)``; the source
+        is zero on every other node.
+        """
+        nodes = self._rad_nodes
+        return self.rad_coeff[nodes, None] * (
+            self.t_ambient_rad**4 - t_star[nodes] ** 4
+        )
 
     # ------------------------------------------------------------------
     # Time stepping
@@ -564,20 +607,19 @@ class CoupledSolver:
         The fixed point (``x <- x + w (advance(x) - x)``, max-norm
         residual, strict ``< tolerance``) runs with an active-sample
         mask: every iteration only evaluates the columns still above
-        tolerance, and a sample's outputs (``phi``, wire powers, field
-        power) are frozen at its converging iteration -- the same "cache
-        from the last advance call" contract as
-        :func:`~repro.solvers.newton.fixed_point`.
+        tolerance, and a sample's outputs (potential coefficients, wire
+        powers, field power) are frozen at its converging iteration --
+        the same "cache from the last advance call" contract as
+        :func:`~repro.solvers.newton.fixed_point`.  The potentials are
+        expanded from their coefficients once, after the loop.
         """
         thermal = self._fast_thermal_solver(dt)
-        rhs_el = self._fast_el_rhs * self._el_scale
-        fixed_phi = self.el_fixed_values * self._el_scale
         capacitance_dt = self.capacitance / dt
         num_samples = t_old.shape[1]
         current = np.array(t_old if guess is None else guess, dtype=float)
         active = np.arange(num_samples)
         iterations = np.zeros(num_samples, dtype=int)
-        phi_out = np.zeros((self.total_size, num_samples))
+        z_out = np.zeros((self._fast_el.rank + 1, num_samples))
         wire_power_out = np.zeros((len(self.topology.wires), num_samples))
         field_power_out = np.zeros(num_samples)
         residual = np.zeros(num_samples)
@@ -588,11 +630,7 @@ class CoupledSolver:
             g_el = self._segment_conductances_block(
                 seg_t, sample_lengths, electrical=True
             )
-            phi_free = self._fast_el.solve_batch(g_el.T, rhs_el)
-            phi = np.empty((self.total_size, active.size))
-            phi[self.el_free] = phi_free
-            phi[self.el_fixed] = fixed_phi[:, None]
-            q, wire_power, field_power = self._joule_block(phi, g_el)
+            z, q, wire_power, field_power = self._joule_block(g_el)
             g_th = self._segment_conductances_block(
                 seg_t, sample_lengths, electrical=False
             )
@@ -600,8 +638,8 @@ class CoupledSolver:
                 capacitance_dt[:, None] * t_old[:, active]
                 + q
                 + self.conv_rhs[:, None]
-                + self._radiation_block(t_star)
             )
+            rhs[self._rad_nodes] += self._radiation_block(t_star)
             t_new = thermal.solve_batch(g_th.T, rhs)
             damped = self.damping * (t_new - t_star)
             current[:, active] = t_star + damped
@@ -609,7 +647,7 @@ class CoupledSolver:
             # Outputs track the latest advance of every active sample;
             # once a sample converges it leaves ``active`` and its last
             # written values stand.
-            phi_out[:, active] = phi
+            z_out[:, active] = z
             wire_power_out[:, active] = wire_power
             field_power_out[active] = field_power
             residual[active] = step_norm
@@ -629,7 +667,9 @@ class CoupledSolver:
                 iterations=self.max_iterations,
                 residual=worst,
             )
-        return current, iterations, phi_out, wire_power_out, field_power_out
+        return (current, iterations,
+                _basis_product(self._fast_phi_basis, z_out),
+                wire_power_out, field_power_out)
 
     def _step(self, t_old, dt, guess=None):
         """One implicit Euler step of the bound sample (either mode).
@@ -653,6 +693,7 @@ class CoupledSolver:
             )
         self.metrics.increment("coupled_steps")
         telemetry.increment("solver.coupled_steps")
+        telemetry.increment("solver.fixed_point_iterations", outputs[1])
         return outputs
 
     def step_once(self, temperatures, dt, drive_scale=1.0, guess=None):
@@ -681,6 +722,12 @@ class CoupledSolver:
 
     def solve_transient(self, time_grid, store_fields=False, waveform=None):
         """Integrate the coupled system over a :class:`TimeGrid`.
+
+        From the second step on, each step's fixed point starts from the
+        extrapolation of the accepted states (linear, then quadratic;
+        see :func:`_extrapolated_guess`); the converged state is the
+        same within the fixed-point tolerance, reached in fewer
+        iterations.
 
         Parameters
         ----------
@@ -716,14 +763,17 @@ class CoupledSolver:
         iterations = []
         fields = [temperatures.copy()] if store_fields else None
         phi = np.zeros(self.total_size)
+        history = deque([temperatures], maxlen=3)
 
         times = time_grid.times
         try:
             for step_index in range(time_grid.num_steps):
                 self._el_scale = float(drive(times[step_index + 1]))
                 temperatures, n_iter, phi, wire_powers, field_power = (
-                    self._step(temperatures, dt)
+                    self._step(temperatures, dt,
+                               guess=_extrapolated_guess(history))
                 )
+                history.append(temperatures)
                 iterations.append(n_iter)
                 wire_t.append(self.topology.wire_temperatures(temperatures))
                 wire_peak.append(
@@ -787,6 +837,38 @@ class CoupledSolver:
             iterations=iterations,
             wire_names=problem.wire_names(),
         )
+
+
+def _basis_product(basis, z):
+    """``basis @ z`` with every column computed by the same kernel.
+
+    numpy sends a one-column product to BLAS gemv, whose summation
+    order differs from gemm's; OpenBLAS's gemm sums every entry in the
+    same order for any number of columns.  Running one column as two
+    keeps a sample's values identical whether it is advanced alone
+    (``S = 1``), in a block, or as the last active column of one.
+    """
+    if z.shape[1] == 1:
+        return (basis @ np.repeat(z, 2, axis=1))[:, :1]
+    return basis @ z
+
+
+def _extrapolated_guess(history):
+    """Warm start of the next fixed point from the accepted states.
+
+    ``history`` holds the latest (up to three) accepted states of a
+    constant-``dt`` run, oldest first: three give the quadratic
+    ``3 T_n - 3 T_n-1 + T_n-2``, two the linear ``2 T_n - T_n-1`` and
+    the initial state alone no guess.  Elementwise, so every column of
+    a sample block gets exactly its ``S = 1`` guess.
+    """
+    if len(history) == 3:
+        older, old, new = history
+        return 3.0 * (new - old) + older
+    if len(history) == 2:
+        old, new = history
+        return 2.0 * new - old
+    return None
 
 
 class BlockedTransientResult:
@@ -899,8 +981,10 @@ class BlockedCoupledSolver:
         Requires :meth:`set_wire_lengths_block` first.  ``waveform``
         scales the contact potentials exactly like
         :meth:`CoupledSolver.solve_transient` -- the drive is shared by
-        every sample, which is what keeps the electrical base backsolve
-        a single shared vector per iteration.
+        every sample, which is what lets the fast step keep the
+        electrical solve in its precomputed unit-drive basis.  Steps are
+        warm-started like :meth:`CoupledSolver.solve_transient`'s, row
+        by row.
 
         Returns a :class:`BlockedTransientResult` whose sample ``s``
         reproduces the per-sample
@@ -937,6 +1021,7 @@ class BlockedCoupledSolver:
         wire_p = [np.zeros((self.num_wires, num_samples))]
         field_p = [np.zeros(num_samples)]
         iterations = []
+        history = deque([temperatures], maxlen=3)
         times = time_grid.times
         dt = time_grid.dt
         try:
@@ -944,10 +1029,14 @@ class BlockedCoupledSolver:
                 solver._el_scale = float(drive(times[step_index + 1]))
                 (temperatures, n_iter, _, wire_power,
                  field_power) = solver._step_fast(
-                    temperatures, dt, self._lengths
+                    temperatures, dt, self._lengths,
+                    guess=_extrapolated_guess(history),
                 )
+                history.append(temperatures)
                 solver.metrics.increment("coupled_steps", num_samples)
                 telemetry.increment("solver.coupled_steps", num_samples)
+                telemetry.increment("solver.fixed_point_iterations",
+                                    int(n_iter.sum()))
                 solver.metrics.increment("blocked_steps")
                 telemetry.increment("solver.blocked_steps")
                 iterations.append(n_iter)

@@ -113,6 +113,10 @@ def format_timings_report(telemetry, top=None):
     if blocked_line:
         lines.append("")
         lines.append(blocked_line)
+    fixed_point_line = _fixed_point_line(telemetry)
+    if fixed_point_line:
+        lines.append("")
+        lines.append(fixed_point_line)
     fault_line = _fault_tolerance_line(telemetry)
     if fault_line:
         lines.append("")
@@ -180,6 +184,25 @@ def _blocked_evaluation_line(telemetry):
     if batch is not None:
         line += f", last batch size {int(batch)}"
     return line
+
+
+def _fixed_point_line(telemetry):
+    """Coupled fixed-point work per sample-step, or ``None`` untracked.
+
+    ``solver.fixed_point_iterations`` sums the iterations of every
+    sample's implicit Euler steps; ``solver.coupled_steps`` counts those
+    sample-steps.
+    """
+    metrics = telemetry.get("metrics") or {}
+    counters = metrics.get("counters") or {}
+    iterations = counters.get("solver.fixed_point_iterations", 0)
+    steps = counters.get("solver.coupled_steps", 0)
+    if steps <= 0:
+        return None
+    return (
+        f"Fixed point: {int(iterations)} iterations over {int(steps)} "
+        f"sample-steps ({iterations / steps:.2f} per step)"
+    )
 
 
 def format_trace_summary(telemetry):

@@ -88,10 +88,8 @@ class WoodburySolver:
             self._handle = self.backend.factorize(nominal)
         # W = A_nom^-1 U in one multi-RHS triangular sweep, and the
         # capacitance matrix C = U^T W.
-        self._base_inverse_u = self._handle.lu.solve(
-            np.ascontiguousarray(update_vectors)
-        )
-        self._core = update_vectors.T @ self._base_inverse_u
+        self.base_inverse_u = self.base_solve(update_vectors)
+        self._core = update_vectors.T @ self.base_inverse_u
         # Backend-resident U and W, uploaded (and transfer-counted)
         # lazily on the first solve.
         self._device_ops = None
@@ -100,6 +98,14 @@ class WoodburySolver:
     def size(self):
         """Number of unknowns ``n`` of the system."""
         return self.update_vectors.shape[0]
+
+    def base_solve(self, rhs):
+        """Host solve ``A_nom^-1 rhs`` with the nominally stamped matrix.
+
+        For one-time setup solves (``W`` here, a caller's precomputed
+        basis); per-sample solves go through :meth:`solve_batch`.
+        """
+        return self._handle.lu.solve(np.ascontiguousarray(rhs, dtype=float))
 
     def _check_conductances(self, conductances):
         """Validate an ``(S, k)`` block of non-negative conductances."""
@@ -201,41 +207,56 @@ class WoodburySolver:
         if self._device_ops is None:
             self._device_ops = (
                 self.backend.to_device(self.update_vectors),
-                self.backend.to_device(self._base_inverse_u),
+                self.backend.to_device(self.base_inverse_u),
             )
         return self._device_ops
+
+    def coefficients(self, conductances, projected):
+        """Capacitance-form coefficients ``c_s = (I + D_s C)^-1 D_s p_s``.
+
+        The solution of sample ``s`` is ``x_s = x0_s - W c_s`` with
+        ``x0_s = A_nom^-1 b_s``, ``W = A_nom^-1 U`` and the projection
+        ``p_s = U^T x0_s``.  ``conductances`` is an ``(S, k)`` host
+        block; ``projected`` lives in the backend's memory space, either
+        ``(S, k)`` (one row per sample) or one shared ``(k,)`` row, and
+        so does the ``(S, k)`` result.  A caller that keeps ``x0`` and
+        ``W`` in a reduced basis of its own needs only these ``k``
+        numbers per sample, not the ``n``-long solution.
+        """
+        conductances = self._check_conductances(
+            np.asarray(conductances, dtype=float)
+        )
+        delta = conductances - self.nominal_conductances
+        update = delta[:, :, None] * self._core
+        cores = np.eye(self.rank) + update
+        _check_cores(cores, update)
+        try:
+            return self.backend.batched_core_solve(
+                cores, self.backend.to_device(delta) * projected
+            )
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Woodbury core solve failed: {exc}") from exc
 
     def _solve(self, conductances, rhs):
         """The capacitance-form update for validated inputs.
 
         Runs in the backend's memory space: per call one RHS upload,
-        one deviation upload, one cores upload (inside
-        ``batched_core_solve``) and one solution download, plus the
+        one deviation upload and one cores upload (inside
+        :meth:`coefficients`) and one solution download, plus the
         one-time operator uploads -- each counted in
         ``solver.device_transfers`` on device backends.
         """
         backend = self.backend
-        num_samples = conductances.shape[0]
         x0 = self._handle.backsolve(
             backend.to_device(np.ascontiguousarray(rhs))
         )
         u, w = self._device_operators()
         projected = u.T @ x0
         if rhs.ndim == 1:
-            projected = backend.broadcast_rows(projected, num_samples)
-            x0 = backend.broadcast_columns(x0, num_samples)
+            x0 = backend.broadcast_columns(x0, conductances.shape[0])
         else:
             projected = projected.T
-        delta = conductances - self.nominal_conductances
-        update = delta[:, :, None] * self._core
-        cores = np.eye(self.rank) + update
-        _check_cores(cores, update)
-        try:
-            coefficients = backend.batched_core_solve(
-                cores, backend.to_device(delta) * projected
-            )
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"Woodbury core solve failed: {exc}") from exc
+        coefficients = self.coefficients(conductances, projected)
         solution = backend.from_device(x0 - w @ coefficients.T)
         if not np.all(np.isfinite(solution)):
             raise SolverError("Woodbury solve produced non-finite values")

@@ -188,3 +188,26 @@ class TestAdaptiveFallback:
         assert counters.get("campaign.blocked_solves") == 4
         assert "campaign.loop_solves" not in counters
         assert data["metrics"]["gauges"]["campaign.batch_size"] == 2
+
+
+class TestFixedPointTelemetry:
+    @pytest.mark.parametrize("time_stepping", ["fixed", "adaptive"])
+    def test_fixed_point_iterations_reported(self, tmp_path, time_stepping):
+        from repro.reporting.telemetry import format_timings_report
+
+        spec = _tiny_spec(num_samples=4, chunk_size=2,
+                          time_stepping=time_stepping)
+        store = ArtifactStore(tmp_path / "store")
+        run_campaign(spec, store=store, telemetry=True)
+        telemetry = store.read_telemetry()
+        counters = telemetry["metrics"]["counters"]
+        steps = counters["solver.coupled_steps"]
+        iterations = counters["solver.fixed_point_iterations"]
+        if time_stepping == "fixed":
+            # 4 samples x 5 steps of the 6-point grid.
+            assert steps == 20
+        assert iterations >= steps
+        assert (
+            f"Fixed point: {iterations} iterations over {steps} "
+            f"sample-steps ({iterations / steps:.2f} per step)"
+        ) in format_timings_report(telemetry)

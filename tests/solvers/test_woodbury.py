@@ -431,14 +431,34 @@ def _relative_residuals(base, u, conductances, solution, rhs):
     return np.array(residuals)
 
 
+def _coefficient_solution(solver, conductances, rhs):
+    """``x0 - W c`` from :meth:`WoodburySolver.coefficients`.
+
+    ``rhs`` is one shared ``(n,)`` vector (a shared ``(k,)``
+    projection) or an ``(n, S)`` block (one projection row per sample).
+    """
+    backend = solver.backend
+    x0 = solver.base_solve(rhs)
+    projected = solver.update_vectors.T @ x0
+    coefficients = backend.from_device(solver.coefficients(
+        conductances, backend.to_device(projected.T)
+    ))
+    if x0.ndim == 1:
+        x0 = x0[:, None]
+    return x0 - solver.base_inverse_u @ coefficients.T
+
+
 def _all_entry_points(solver, conductances, shared, block):
-    """``(rhs, solution)`` pairs from scalar, shared and block solves."""
+    """``(rhs, solution)`` pairs from scalar, shared, block and
+    coefficient solves."""
     scalar = np.column_stack([
         solver.solve(g, block[:, s]) for s, g in enumerate(conductances)
     ])
     yield block, scalar
     yield shared, solver.solve_batch(conductances, shared)
     yield block, solver.solve_batch(conductances, block)
+    yield shared, _coefficient_solution(solver, conductances, shared)
+    yield block, _coefficient_solution(solver, conductances, block)
 
 
 def _assert_transfers_accounted(backend, collector, before):
@@ -490,11 +510,13 @@ class TestDirectSolveOracle:
             # 32 perturbed samples: lengths and temperatures move every
             # wire conductance by up to -40 % / +60 %.
             conductances = g0 * rng.uniform(0.6, 1.6, (32, g0.size))
-            residuals = _relative_residuals(
-                base, u, conductances,
-                solver.solve_batch(conductances, rhs), rhs,
-            )
-            assert residuals.max() <= 1e-12
+            for solution in (
+                solver.solve_batch(conductances, rhs),
+                _coefficient_solution(solver, conductances, rhs),
+            ):
+                assert _relative_residuals(
+                    base, u, conductances, solution, rhs
+                ).max() <= 1e-12
             # Per-sample right-hand sides: the contact drive at different
             # waveform scales (a random RHS would excite the floating,
             # nearly insulating mold region no solver resolves to 1e-12).
@@ -572,6 +594,10 @@ def test_property_direct_solve_oracle(backend_name, n_island, k,
                 solver.solve_batch(conductances, np.ones(base.shape[0]))
             with pytest.raises(SolverError, match="singular"):
                 solver.solve(conductances[detached][0], np.ones(base.shape[0]))
+            with pytest.raises(SolverError, match="singular"):
+                solver.coefficients(
+                    conductances, backend.to_device(np.ones(k))
+                )
             conductances = conductances[~detached]
         if conductances.shape[0]:
             n = base.shape[0]
