@@ -21,12 +21,15 @@ Two execution modes:
   temperature so both base matrices can be LU-factorized *once*; the only
   matrix changes left are the rank-``n_segments`` bonding wire stamps,
   handled by Sherman-Morrison-Woodbury updates, and the radiation
-  nonlinearity, which converges through the fixed point on the right-hand
-  side.  This is the Monte Carlo fast path: the wire nonlinearities (the
-  dominant electrothermal feedback of this application) are retained
-  exactly.  One step advances an ``(n, S)`` temperature block, one
-  column per wire-length sample; the per-sample path is its ``S = 1``
-  case.
+  nonlinearity, linearized at the initial temperature into the thermal
+  base with its remainder lagged on the right-hand side.  This is the
+  Monte Carlo fast path: the wire nonlinearities (the dominant
+  electrothermal feedback of this application) are retained exactly.
+  The wire feedback of a step converges in port space (the wire-end
+  node temperatures), the field temperatures follow from one thermal
+  solve, and an M-matrix bound certifies the lagged radiation.  One
+  step advances an ``(n, S)`` temperature block, one column per
+  wire-length sample; the per-sample path is its ``S = 1`` case.
 """
 
 from collections import OrderedDict, deque
@@ -65,9 +68,8 @@ class CoupledSolver:
     tolerance:
         Fixed-point tolerance on the temperature update [K].
     max_iterations:
-        Fixed-point iteration budget per time step.
-    damping:
-        Fixed-point relaxation factor.
+        Fixed-point iteration budget per time step (fast mode: per loop,
+        for the port iterations and for the outer passes alike).
     factorization_cache:
         Optional :class:`~repro.solvers.cache.FactorizationCache` shared
         across solver instances; fast-mode base LUs are looked up there,
@@ -93,7 +95,6 @@ class CoupledSolver:
         mode="full",
         tolerance=1.0e-6,
         max_iterations=40,
-        damping=1.0,
         factorization_cache=None,
         max_thermal_solvers=8,
         array_backend=None,
@@ -104,7 +105,6 @@ class CoupledSolver:
         self.mode = mode
         self.tolerance = float(tolerance)
         self.max_iterations = int(max_iterations)
-        self.damping = float(damping)
         self.factorization_cache = factorization_cache
         self.array_backend = get_array_backend(array_backend)
 
@@ -138,6 +138,10 @@ class CoupledSolver:
         #: The radiating nodes (nonzero ``rad_coeff``), where the fast
         #: step evaluates the explicit radiative source.
         self._rad_nodes = np.flatnonzero(self.rad_coeff)
+        #: ``4 rad_coeff T_initial^3``: the radiation linearized at the
+        #: initial temperature, which the fast thermal base carries on
+        #: its diagonal (a nonnegative shift, so it stays an M-matrix).
+        self._rad_linear = 4.0 * self.rad_coeff * problem.t_initial**3
 
         # Electrical Dirichlet reduction pattern (constant across solves).
         if not problem.electrical_dirichlet:
@@ -318,7 +322,28 @@ class CoupledSolver:
         self._seg_start, self._seg_end, self._seg_wire = (
             topology.segment_node_indices()
         )
-        self._materials = [wire.material for wire in topology.wires]
+        # Segments grouped by material object, one conductivity call per
+        # group (all 12 Date16 wires share one material).
+        materials = {}
+        for segment, wire in enumerate(self._seg_wire):
+            material = topology.wires[wire].material
+            materials.setdefault(id(material), (material, []))[1].append(
+                segment
+            )
+        self._segment_materials = [
+            (material, np.array(segments))
+            for material, segments in materials.values()
+        ]
+        # The port nodes: the distinct wire-end nodes, in port order.
+        # Segment ``j`` runs from port ``_port_start[j]`` to port
+        # ``_port_end[j]``.
+        self._ports, port_index = np.unique(
+            np.concatenate([self._seg_start, self._seg_end]),
+            return_inverse=True,
+        )
+        self._port_start, self._port_end = np.split(
+            port_index, [self._seg_start.size]
+        )
         self._areas = np.array(
             [wire.cross_section_area for wire in topology.wires]
         )
@@ -347,9 +372,12 @@ class CoupledSolver:
             self.discretization.cell_field_components(basis[: self.n_grid])
             + (basis[self._seg_start] - basis[self._seg_end],)
         )
+        self._fast_drop_basis = self._fast_joule_basis[
+            3 * self.discretization.cell_volumes.size:
+        ]
 
-    def _fast_thermal_solver(self, dt):
-        """The per-dt thermal Woodbury solver (bounded LRU map).
+    def _fast_thermal_step(self, dt):
+        """The per-dt :class:`_ThermalStep` (bounded LRU map).
 
         Adaptive step doubling alternates ``dt`` and ``dt/2`` inside
         every attempt; a single-slot memo would rebuild (and
@@ -357,24 +385,25 @@ class CoupledSolver:
         the last ``max_thermal_solvers`` distinct step sizes alive.
         """
         key = float(dt)
-        solver = self._fast_th_solvers.get(key)
-        if solver is not None:
+        step = self._fast_th_solvers.get(key)
+        if step is not None:
             self._fast_th_solvers.move_to_end(key)
-            return solver
+            return step
         base = (
             sp.diags(self.capacitance / dt)
             + self._fast_k_th
-            + sp.diags(self.conv_diag)
+            + sp.diags(self.conv_diag + self._rad_linear)
         ).tocsc()
         solver = WoodburySolver(base, self._fast_u, self._fast_g_th0,
                                 cache=self.factorization_cache,
                                 backend=self.array_backend)
+        step = _ThermalStep(self, solver)
         self.metrics.increment("thermal_solver_builds")
         telemetry.increment("solver.thermal_builds")
-        self._fast_th_solvers[key] = solver
+        self._fast_th_solvers[key] = step
         while len(self._fast_th_solvers) > self.max_thermal_solvers:
             self._fast_th_solvers.popitem(last=False)
-        return solver
+        return step
 
     def _lifetime_counters(self):
         """Raw lifetime totals of every windowed counter."""
@@ -459,23 +488,40 @@ class CoupledSolver:
 
         ``lengths`` is the ``(S, W)`` sample block.  Matches the
         ``LumpedBondWire.segment_*_conductance`` operation order
-        (``sigma * A / L * n_seg``), vectorized over the sample axis per
-        segment.
+        (``sigma * A / L * n_seg``), vectorized over the segments of
+        each material and the sample axis.
         """
         conductances = np.empty_like(seg_t)
-        for segment in range(self._seg_start.size):
-            wire = int(self._seg_wire[segment])
-            material = self._materials[wire]
+        for material, segments in self._segment_materials:
+            wires = self._seg_wire[segments]
             conductivity = (
-                material.electrical_conductivity(seg_t[segment])
+                material.electrical_conductivity(seg_t[segments])
                 if electrical
-                else material.thermal_conductivity(seg_t[segment])
+                else material.thermal_conductivity(seg_t[segments])
             )
-            conductances[segment] = (
-                conductivity * self._areas[wire] / lengths[:, wire]
-                * self._num_segments[wire]
+            conductances[segments] = (
+                conductivity * self._areas[wires, None] / lengths[:, wires].T
+                * self._num_segments[wires, None]
             )
         return conductances
+
+    def _potential_coefficients(self, g_el):
+        """``z = [scale; c]`` ``(k + 1, S)`` of the electrical solve.
+
+        ``c`` are the Woodbury coefficients of the frozen-sigma system
+        at the ``(k, S)`` wire conductance block; the potentials are
+        ``_fast_phi_basis @ z``.
+        """
+        el = self._fast_el
+        backend = el.backend
+        coefficients = backend.from_device(el.coefficients(
+            g_el.T,
+            backend.to_device(self._el_scale * self._fast_el_projected),
+        ))
+        z = np.empty((el.rank + 1, g_el.shape[1]))
+        z[0] = self._el_scale
+        z[1:] = coefficients.T
+        return z
 
     def _joule_block(self, g_el):
         """Electrical solve and Joule node powers for the whole block.
@@ -489,15 +535,7 @@ class CoupledSolver:
         ``(S,)``.
         """
         disc = self.discretization
-        el = self._fast_el
-        backend = el.backend
-        coefficients = backend.from_device(el.coefficients(
-            g_el.T,
-            backend.to_device(self._el_scale * self._fast_el_projected),
-        ))
-        z = np.empty((el.rank + 1, g_el.shape[1]))
-        z[0] = self._el_scale
-        z[1:] = coefficients.T
+        z = self._potential_coefficients(g_el)
         cells = disc.cell_volumes.size
         values = _basis_product(self._fast_joule_basis, z)
         ex, ey, ez = (values[i * cells:(i + 1) * cells] for i in range(3))
@@ -527,10 +565,22 @@ class CoupledSolver:
             self.t_ambient_rad**4 - t_star[nodes] ** 4
         )
 
+    def _radiation_remainder(self, t_star):
+        """The lagged radiative source of the fast step on its support.
+
+        The radiation minus its linearization at the initial
+        temperature, ``rad(T*) + 4 rad_coeff T_initial^3 T*``: the fast
+        thermal base carries the linear part, so a fixed point of the
+        fast step solves the radiating system itself.
+        """
+        nodes = self._rad_nodes
+        return (self._radiation_block(t_star)
+                + self._rad_linear[nodes, None] * t_star[nodes])
+
     # ------------------------------------------------------------------
     # Time stepping
     # ------------------------------------------------------------------
-    def _step_full(self, t_old, dt, guess, max_iterations, damping):
+    def _step_full(self, t_old, dt, guess, max_iterations, damping=1.0):
         """The full-mode fixed point of one implicit Euler step.
 
         Starts from ``guess`` (``t_old`` when ``None``) and returns
@@ -600,76 +650,143 @@ class CoupledSolver:
         Column ``s`` of ``t_old`` (and of the optional warm start
         ``guess``) is the sample with wire lengths row ``s`` of the
         ``(S, W)`` block ``lengths``; the drive scale is ``_el_scale``.
-        Returns ``(T_new, iterations, phi, wire_powers, field_power)``
+        Returns ``(T_new, passes, phi, wire_powers, field_power)``
         with shapes ``(n, S)``, ``(S,)``, ``(n, S)``, ``(W, S)`` and
         ``(S,)``.
 
-        The fixed point (``x <- x + w (advance(x) - x)``, max-norm
-        residual, strict ``< tolerance``) runs with an active-sample
-        mask: every iteration only evaluates the columns still above
-        tolerance, and a sample's outputs (potential coefficients, wire
-        powers, field power) are frozen at its converging iteration --
-        the same "cache from the last advance call" contract as
-        :func:`~repro.solvers.newton.fixed_point`.  The potentials are
-        expanded from their coefficients once, after the loop.
+        Each outer pass lags the radiation remainder at the current
+        iterate, converges the wire feedback in port space
+        (:meth:`_port_fixed_point`), then takes one thermal solve and
+        one Joule evaluation at the wire conductances of the converged
+        port temperatures.  A sample is accepted once the M-matrix
+        bound ``|A(g)^-1 delta| <= |delta|_inf A(g)^-1 1_R`` puts the
+        change the next pass would make through the radiation update
+        ``delta`` below the tolerance; its outputs are those of its
+        accepting pass.  Both loops run on active-sample masks, and
+        ``passes`` counts each sample's thermal solves.
         """
-        thermal = self._fast_thermal_solver(dt)
+        step = self._fast_thermal_step(dt)
         capacitance_dt = self.capacitance / dt
         num_samples = t_old.shape[1]
         current = np.array(t_old if guess is None else guess, dtype=float)
         active = np.arange(num_samples)
-        iterations = np.zeros(num_samples, dtype=int)
+        passes = np.zeros(num_samples, dtype=int)
+        port_iterations = 0
         z_out = np.zeros((self._fast_el.rank + 1, num_samples))
         wire_power_out = np.zeros((len(self.topology.wires), num_samples))
         field_power_out = np.zeros(num_samples)
-        residual = np.zeros(num_samples)
+        bound = np.zeros(num_samples)
         for iteration in range(1, self.max_iterations + 1):
             t_star = current[:, active]
+            lagged = self._radiation_remainder(t_star)
+            rhs = (capacitance_dt[:, None] * t_old[:, active]
+                   + self.conv_rhs[:, None])
+            rhs[self._rad_nodes] += lagged
             sample_lengths = lengths[active]
-            seg_t = 0.5 * (t_star[self._seg_start] + t_star[self._seg_end])
-            g_el = self._segment_conductances_block(
-                seg_t, sample_lengths, electrical=True
+            ports, count = self._port_fixed_point(
+                step, rhs, t_star[self._ports], sample_lengths
             )
+            port_iterations += count
+            g_el, g_th = self._port_conductances(ports, sample_lengths)
             z, q, wire_power, field_power = self._joule_block(g_el)
-            g_th = self._segment_conductances_block(
-                seg_t, sample_lengths, electrical=False
-            )
-            rhs = (
-                capacitance_dt[:, None] * t_old[:, active]
-                + q
-                + self.conv_rhs[:, None]
-            )
-            rhs[self._rad_nodes] += self._radiation_block(t_star)
-            t_new = thermal.solve_batch(g_th.T, rhs)
-            damped = self.damping * (t_new - t_star)
-            current[:, active] = t_star + damped
-            step_norm = np.max(np.abs(damped), axis=0)
-            # Outputs track the latest advance of every active sample;
-            # once a sample converges it leaves ``active`` and its last
-            # written values stand.
+            q += rhs
+            t_new = step.solver.solve_batch(g_th.T, q)
+            current[:, active] = t_new
             z_out[:, active] = z
             wire_power_out[:, active] = wire_power
             field_power_out[active] = field_power
-            residual[active] = step_norm
-            converged = step_norm < self.tolerance
-            iterations[active[converged]] = iteration
+            if self._rad_nodes.size:
+                change = np.max(
+                    np.abs(self._radiation_remainder(t_new) - lagged),
+                    axis=0,
+                )
+                bound[active] = change * step.radiation_gain(g_th)
+            converged = bound[active] < self.tolerance
+            passes[active[converged]] = iteration
             active = active[~converged]
             if not active.size:
                 break
+        telemetry.increment("solver.port_iterations", port_iterations)
         if active.size:
-            worst = float(np.max(residual[active]))
+            worst = float(np.max(bound[active]))
             raise ConvergenceError(
-                f"fixed-point iteration did not converge within "
-                f"{self.max_iterations} iterations for "
-                f"{active.size}/{num_samples} blocked samples "
-                f"(worst step norm {worst:.3e}, tol "
-                f"{self.tolerance:.3e})",
+                f"radiation update not certified within "
+                f"{self.max_iterations} passes for {active.size}/"
+                f"{num_samples} blocked samples (worst bound "
+                f"{worst:.3e}, tol {self.tolerance:.3e})",
                 iterations=self.max_iterations,
                 residual=worst,
             )
-        return (current, iterations,
+        return (current, passes,
                 _basis_product(self._fast_phi_basis, z_out),
                 wire_power_out, field_power_out)
+
+    def _port_conductances(self, port_t, lengths):
+        """``(k, S)`` electrical and thermal wire conductances at the
+        ``(m, S)`` port temperatures for the ``(S, W)`` lengths."""
+        seg_t = 0.5 * (port_t[self._port_start] + port_t[self._port_end])
+        return (
+            self._segment_conductances_block(seg_t, lengths, electrical=True),
+            self._segment_conductances_block(seg_t, lengths, electrical=False),
+        )
+
+    def _port_fixed_point(self, step, rhs, port_t, lengths):
+        """The wire feedback of one pass, iterated in port space.
+
+        ``rhs`` is the ``(n, S)`` wire-free right-hand side of the pass
+        (lagged radiation included), ``port_t`` the ``(m, S)`` starting
+        port temperatures and ``lengths`` the ``(S, W)`` lengths.
+        Iterates ``p <- ports of A(g(p))^-1 (rhs + q(p))`` with
+        ``(m, S)`` and ``(k, S)`` algebra only (see
+        :class:`_ThermalStep`) until no port moves by ``tolerance``,
+        on an active-sample mask.  Returns the converged ``(m, S)``
+        port temperatures (each sample's last iterate) and the number
+        of sample-iterations taken.
+        """
+        thermal = step.solver
+        backend = thermal.backend
+        projected_rhs = _basis_product(step.port_green, rhs)
+        rows, cols = np.triu_indices(self._fast_el.rank + 1)
+        port_t = port_t.copy()
+        residual = np.zeros(port_t.shape[1])
+        active = np.arange(port_t.shape[1])
+        count = 0
+        for _ in range(self.max_iterations):
+            ports = port_t[:, active]
+            g_el, g_th = self._port_conductances(ports, lengths[active])
+            z = self._potential_coefficients(g_el)
+            drop = _basis_product(self._fast_drop_basis, z)
+            x0 = (
+                projected_rhs[:, active]
+                + _basis_product(step.field_green, z[rows] * z[cols])
+                + _basis_product(step.wire_green, g_el * drop * drop)
+            )
+            coefficients = backend.from_device(thermal.coefficients(
+                g_th.T,
+                backend.to_device(
+                    (x0[self._port_start] - x0[self._port_end]).T
+                ),
+            ))
+            new_ports = x0 - _basis_product(
+                step.port_inverse_u, coefficients.T
+            )
+            step_norm = np.max(np.abs(new_ports - ports), axis=0,
+                               initial=0.0)
+            port_t[:, active] = new_ports
+            residual[active] = step_norm
+            count += active.size
+            active = active[~(step_norm < self.tolerance)]
+            if not active.size:
+                return port_t, count
+        worst = float(np.max(residual[active]))
+        raise ConvergenceError(
+            f"port fixed point did not converge within "
+            f"{self.max_iterations} iterations for {active.size}/"
+            f"{port_t.shape[1]} blocked samples (worst step norm "
+            f"{worst:.3e}, tol {self.tolerance:.3e})",
+            iterations=self.max_iterations,
+            residual=worst,
+        )
 
     def _step(self, t_old, dt, guess=None):
         """One implicit Euler step of the bound sample (either mode).
@@ -688,9 +805,7 @@ class CoupledSolver:
             outputs = (t_new[:, 0], int(iterations[0]), phi[:, 0],
                        wire_powers[:, 0], float(field_power[0]))
         else:
-            outputs = self._step_full(
-                t_old, dt, guess, self.max_iterations, self.damping
-            )
+            outputs = self._step_full(t_old, dt, guess, self.max_iterations)
         self.metrics.increment("coupled_steps")
         telemetry.increment("solver.coupled_steps")
         telemetry.increment("solver.fixed_point_iterations", outputs[1])
@@ -853,6 +968,104 @@ def _basis_product(basis, z):
     return basis @ z
 
 
+class _ThermalStep:
+    """The per-``dt`` fast thermal solver and its port-space operators.
+
+    The ports are the ``m`` distinct wire-end nodes: the only nodes whose
+    temperatures the wire conductances and Joule powers read.  The
+    nominally stamped base ``A_nom`` is symmetric, so the port values of
+    ``A_nom^-1 r`` are ``G^T r`` with ``G = A_nom^-1 E`` for the port
+    indicator columns ``E``, and those of the stamped solution follow
+    from the Woodbury coefficients (``x = x0 - W c``, ``W[ports]``).
+
+    Attributes
+    ----------
+    solver:
+        The :class:`~repro.solvers.woodbury.WoodburySolver` of the base.
+    port_green:
+        ``(m, n)`` ``G^T``.
+    field_green:
+        ``(m, (k + 1)(k + 2) / 2)`` port values of ``A_nom^-1`` applied
+        to the field Joule node power, which is a quadratic form in
+        ``z = [scale; c]``: one column per product ``z_a z_b``,
+        ``a <= b``, in ``numpy.triu_indices`` order.
+    wire_green:
+        ``(m, k)`` the same for a unit segment Joule power, split half
+        and half over the segment's end nodes.
+    port_inverse_u:
+        ``(m, k)`` ``W[ports]``.
+    radiation_green, radiation_projected:
+        ``h = A_nom^-1 1_R`` over the radiating nodes ``R`` ``(n,)`` and
+        ``U^T h`` ``(k,)``; ``None`` without radiation.
+    """
+
+    def __init__(self, coupled, solver):
+        ports = coupled._ports
+        # A_nom is symmetric: the rows of G^T are the port rows of A_nom^-1.
+        indicator = np.zeros((solver.size, ports.size))
+        indicator[ports, np.arange(ports.size)] = 1.0
+        green_t = solver.base_solve(indicator).T
+        self.solver = solver
+        self.port_green = green_t
+        self.field_green = _field_green(coupled, green_t[:, :coupled.n_grid])
+        self.wire_green = 0.5 * (
+            green_t[:, coupled._seg_start] + green_t[:, coupled._seg_end]
+        )
+        self.port_inverse_u = solver.base_inverse_u[ports]
+        self.radiation_green = self.radiation_projected = None
+        if coupled._rad_nodes.size:
+            radiating = np.zeros(solver.size)
+            radiating[coupled._rad_nodes] = 1.0
+            self.radiation_green = solver.base_solve(radiating)
+            self.radiation_projected = (
+                solver.update_vectors.T @ self.radiation_green
+            )
+
+    def radiation_gain(self, conductances):
+        """``max A(g)^-1 1_R`` per sample: ``(S,)`` for ``(k, S)`` ``g``.
+
+        ``A(g)`` is an M-matrix, so ``A(g)^-1 1_R`` is nonnegative and
+        bounds ``|A(g)^-1 delta|`` for every ``delta`` supported on the
+        radiating nodes, scaled by ``|delta|_inf``.  It is ``h`` pushed
+        through the Woodbury coefficients.
+        """
+        solver = self.solver
+        backend = solver.backend
+        coefficients = backend.from_device(solver.coefficients(
+            conductances.T, backend.to_device(self.radiation_projected)
+        ))
+        gain = _basis_product(solver.base_inverse_u, coefficients.T)
+        np.subtract(self.radiation_green[:, None], gain, out=gain)
+        return np.max(gain, axis=0)
+
+
+def _field_green(coupled, grid_green_t):
+    """Port projection of the field Joule node power per ``z_a z_b``.
+
+    The cell power density is ``sigma (Ex^2 + Ey^2 + Ez^2)`` with every
+    component linear in ``z``, so the node power is
+    ``sum_{a <= b} N_ab z_a z_b``.  ``grid_green_t`` is ``G^T`` over the
+    grid nodes; the result is ``G^T N`` ``(m, (k + 1)(k + 2) / 2)``,
+    built one column at a time so no ``(cells, (k + 1)(k + 2) / 2)``
+    temporary is ever formed.
+    """
+    disc = coupled.discretization
+    cells = disc.cell_volumes.size
+    components = [
+        coupled._fast_joule_basis[i * cells:(i + 1) * cells]
+        for i in range(3)
+    ]
+    rows, cols = np.triu_indices(coupled._fast_joule_basis.shape[1])
+    green = np.empty((grid_green_t.shape[0], rows.size))
+    for column, (a, b) in enumerate(zip(rows, cols)):
+        # z_a z_b appears twice in the square for a < b.
+        density = (1.0 if a == b else 2.0) * coupled._fast_sigma_cells * sum(
+            c[:, a] * c[:, b] for c in components
+        )
+        green[:, column] = grid_green_t @ disc.node_power_from_cells(density)
+    return green
+
+
 def _extrapolated_guess(history):
     """Warm start of the next fixed point from the accepted states.
 
@@ -889,7 +1102,7 @@ class BlockedTransientResult:
     final_temperatures:
         ``(S, n)`` final temperature states.
     iterations_per_step:
-        ``(S, P - 1)`` fixed-point iteration counts.
+        ``(S, P - 1)`` fixed-point passes (thermal solves) per step.
     """
 
     def __init__(self, times, wire_temperatures, wire_peak_temperatures,
@@ -921,8 +1134,8 @@ class BlockedCoupledSolver:
     Binds ``(S, W)`` per-sample wire lengths and advances all ``S``
     samples of a Monte Carlo chunk through the same time grid at once:
     every time step is one call of the wrapped solver's fast step over
-    the ``(n, S)`` temperature block, whose Woodbury corrections run for
-    the whole block per fixed-point iteration
+    the ``(n, S)`` temperature block, whose port iterations and thermal
+    solves run for the whole block at once
     (:meth:`~repro.solvers.woodbury.WoodburySolver.solve_batch`).  The
     per-sample :meth:`CoupledSolver.solve_transient` is the same step at
     ``S = 1``; both share every factorization, including the per-``dt``

@@ -190,8 +190,10 @@ def _fixed_point_line(telemetry):
     """Coupled fixed-point work per sample-step, or ``None`` untracked.
 
     ``solver.fixed_point_iterations`` sums the iterations of every
-    sample's implicit Euler steps; ``solver.coupled_steps`` counts those
-    sample-steps.
+    sample's implicit Euler steps (in fast mode: its outer passes, one
+    thermal solve each); ``solver.coupled_steps`` counts those
+    sample-steps.  ``solver.port_iterations``, when present, sums the
+    fast step's port-space iterations inside those passes.
     """
     metrics = telemetry.get("metrics") or {}
     counters = metrics.get("counters") or {}
@@ -199,10 +201,16 @@ def _fixed_point_line(telemetry):
     steps = counters.get("solver.coupled_steps", 0)
     if steps <= 0:
         return None
-    return (
+    line = (
         f"Fixed point: {int(iterations)} iterations over {int(steps)} "
         f"sample-steps ({iterations / steps:.2f} per step)"
     )
+    ports = counters.get("solver.port_iterations")
+    if ports is not None:
+        line += (
+            f", {int(ports)} port iterations ({ports / steps:.2f} per step)"
+        )
+    return line
 
 
 def format_trace_summary(telemetry):

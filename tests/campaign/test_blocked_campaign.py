@@ -207,7 +207,11 @@ class TestFixedPointTelemetry:
             # 4 samples x 5 steps of the 6-point grid.
             assert steps == 20
         assert iterations >= steps
+        # Fast mode: every outer pass runs at least one port iteration.
+        ports = counters["solver.port_iterations"]
+        assert ports >= iterations
         assert (
             f"Fixed point: {iterations} iterations over {steps} "
-            f"sample-steps ({iterations / steps:.2f} per step)"
+            f"sample-steps ({iterations / steps:.2f} per step), "
+            f"{ports} port iterations ({ports / steps:.2f} per step)"
         ) in format_timings_report(telemetry)

@@ -122,10 +122,14 @@ def test_warm_started_transient_matches_cold_steps():
         rtol=0.0, atol=10.0 * tolerance,
     )
 
-    def iterations(capture):
-        return capture.registry.counter_value(
-            "solver.fixed_point_iterations"
-        )
+    def counter(capture, name):
+        return capture.registry.counter_value(name)
 
-    assert iterations(warm_capture) == sum(result.iterations_per_step)
-    assert iterations(warm_capture) < iterations(cold_capture)
+    passes = "solver.fixed_point_iterations"
+    assert counter(warm_capture, passes) == sum(result.iterations_per_step)
+    # Without radiation every step is one thermal solve, warm or cold;
+    # the warm start saves port iterations.
+    assert counter(warm_capture, passes) == grid.num_steps
+    assert counter(cold_capture, passes) == grid.num_steps
+    ports = "solver.port_iterations"
+    assert counter(warm_capture, ports) < counter(cold_capture, ports)
