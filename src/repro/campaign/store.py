@@ -726,13 +726,16 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     @staticmethod
     def _write_json(path, payload):
+        # Compact ``json.dumps`` runs the C encoder; ``indent=`` would
+        # fall back to the pure-Python one.  Readers accept either form.
+        text = json.dumps(payload, sort_keys=True)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         descriptor, temporary = tempfile.mkstemp(
             dir=directory, suffix=".tmp"
         )
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write(text)
             handle.write("\n")
         os.replace(temporary, path)
 

@@ -118,12 +118,15 @@ class JobQueue:
     whole queue atomically before returning, so readers of
     ``queue.json`` (a restarted service, an operator's editor) always
     see a consistent snapshot and a kill can never tear the file.
+    Every persisted mutation also wakes the threads blocked in
+    :meth:`wait_for_state_change`.
     """
 
     def __init__(self, root):
         self.root = os.path.abspath(str(root))
         self.path = os.path.join(self.root, _QUEUE_NAME)
         self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
         self._jobs = {}
         self._next_serial = 1
         self._load()
@@ -153,6 +156,7 @@ class JobQueue:
             "next_serial": self._next_serial,
             "jobs": [job.to_dict() for job in self._jobs.values()],
         })
+        self._changed.notify_all()
 
     # ------------------------------------------------------------------
     # Submission / lookup
@@ -193,6 +197,13 @@ class JobQueue:
         if job is None:
             raise ServiceError(f"unknown job id {job_id!r}")
         return job
+
+    def wait_for_state_change(self, job_id, state, timeout):
+        """Block until the job leaves ``state`` or ``timeout`` seconds
+        pass, whichever comes first."""
+        job = self.get(job_id)
+        with self._changed:
+            self._changed.wait_for(lambda: job.state != state, timeout)
 
     def jobs(self, tenant=None, states=None):
         """Snapshot of records, submission-ordered; optionally filtered."""

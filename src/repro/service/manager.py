@@ -54,13 +54,14 @@ class JobManager:
         :mod:`repro.backends` substrate the job's solvers run on; the
         runner validates it before any worker spawns and pins it into
         the job's spec.
-    poll_s:
-        Dispatcher idle poll interval.
+
+    The dispatcher sleeps until woken: by :meth:`submit`, by a job
+    thread's exit and by :meth:`stop` -- the only events that can make
+    a job claimable or a worker slot free.
     """
 
     def __init__(self, root, max_workers=2, executor=None, workers=None,
-                 retry=None, telemetry=None, array_backend=None,
-                 poll_s=0.05):
+                 retry=None, telemetry=None, array_backend=None):
         self.root = os.path.abspath(str(root))
         os.makedirs(self.root, exist_ok=True)
         self.namespace = Namespace(self.root)
@@ -77,9 +78,9 @@ class JobManager:
             "telemetry": telemetry,
             "array_backend": array_backend,
         }
-        self.poll_s = float(poll_s)
         self._dispatcher = None
         self._stop = threading.Event()
+        self._wake = threading.Event()
         self._active = {}
         self._active_lock = threading.Lock()
 
@@ -107,6 +108,7 @@ class JobManager:
     def stop(self, wait=True):
         """Stop claiming new jobs; optionally wait for active ones."""
         self._stop.set()
+        self._wake.set()
         dispatcher = self._dispatcher
         if dispatcher is not None:
             dispatcher.join()
@@ -157,7 +159,9 @@ class JobManager:
                 f"unknown job option(s) {unknown}; supported: "
                 f"{sorted(JOB_OPTIONS)}"
             )
-        return self.queue.submit(spec, tenant=tenant, options=options)
+        job = self.queue.submit(spec, tenant=tenant, options=options)
+        self._wake.set()
+        return job
 
     def job(self, job_id):
         return self.queue.get(job_id)
@@ -209,9 +213,11 @@ class JobManager:
     def watch(self, job_id, interval_s=0.2, timeout_s=None):
         """Yield status snapshots until the job reaches a terminal state.
 
-        Emits an initial snapshot immediately, then one per *change*
-        (polling every ``interval_s``), and always emits the terminal
-        snapshot last.  Raises :class:`ServiceError` on timeout.
+        Emits an initial snapshot immediately, then one per *change*,
+        and always emits the terminal snapshot last.  A queue transition
+        wakes the watcher as soon as it is persisted; store progress is
+        re-read every ``interval_s``.  Raises :class:`ServiceError` on
+        timeout.
         """
         deadline = (
             None if timeout_s is None else time.monotonic() + timeout_s
@@ -233,7 +239,9 @@ class JobManager:
                     f"watch of job {job_id!r} timed out after "
                     f"{timeout_s}s (state {status['state']!r})"
                 )
-            time.sleep(interval_s)
+            self.queue.wait_for_state_change(
+                job_id, status["state"], interval_s
+            )
 
     def result(self, job_id):
         """The completed job's summary dict (the store's summary.json).
@@ -270,15 +278,17 @@ class JobManager:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch_loop(self):
-        while not self._stop.is_set():
+        while True:
+            # Clear before looking for work: a wakeup that lands after
+            # the check below is then still pending for the wait.
+            self._wake.clear()
+            if self._stop.is_set():
+                return
             with self._active_lock:
-                active = len(self._active)
-            if active >= self.max_workers:
-                self._stop.wait(self.poll_s)
-                continue
-            job = self.queue.claim_next()
+                full = len(self._active) >= self.max_workers
+            job = None if full else self.queue.claim_next()
             if job is None:
-                self._stop.wait(self.poll_s)
+                self._wake.wait()
                 continue
             thread = threading.Thread(
                 target=self._run_job,
@@ -329,6 +339,7 @@ class JobManager:
         finally:
             with self._active_lock:
                 self._active.pop(job.job_id, None)
+            self._wake.set()
 
     def __repr__(self):
         return (

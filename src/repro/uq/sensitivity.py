@@ -31,6 +31,12 @@ from .sampling import map_to_distributions, random_sampler
 #: count, so bootstrap and sample draws never collide for one seed.
 _BOOTSTRAP_SPAWN_KEY = 0xB0075
 
+#: Byte budget of the resampled designs one :func:`jansen_bootstrap`
+#: slice gathers.  A slice always holds at least one replicate, so a
+#: design larger than the budget (trace QoIs) resamples one replicate
+#: at a time.
+_BOOTSTRAP_SLICE_BYTES = 40 << 10
+
 
 def saltelli_sample(num_base_samples, dimension, seed=None):
     """Saltelli design: matrices ``A``, ``B`` and the ``AB_i`` hybrids.
@@ -855,66 +861,60 @@ def _optional_array(values):
     return np.asarray(values, dtype=float)
 
 
+def _pooled_variance(f_a, f_b):
+    """Sample variance of the pooled rows (axis 1) of ``f_a`` and
+    ``f_b``, without materializing the pooled array."""
+    count = f_a.shape[1] + f_b.shape[1]
+    mean = (f_a.sum(axis=1, keepdims=True)
+            + f_b.sum(axis=1, keepdims=True)) / count
+    return (np.sum((f_a - mean) ** 2, axis=1)
+            + np.sum((f_b - mean) ** 2, axis=1)) / (count - 1)
+
+
 def _replicate_estimates(f_a, f_b, f_ab, f_ab_pairs, pairs, f_ab_groups,
                          groups):
-    """One vectorized Jansen evaluation of a (resampled) design.
+    """One vectorized Jansen evaluation of a stack of resampled designs.
 
-    Same expressions and degeneracy contract as
-    :meth:`StreamingJansenAccumulator.finalize`, but with vectorized
-    ``np.mean`` reductions: bootstrap replicates only need per-seed
-    determinism, not the streaming bit-for-bit property, and the
-    vectorized form keeps the replicate sweep out of the per-row Python
-    loop (an order of magnitude for vector QoIs).  Raises
-    :class:`SamplingError` when every output component is degenerate.
+    Every argument carries a leading replicate axis and flattened output
+    components: ``f_a``/``f_b`` are ``(R, M, 1, C)`` and each swap
+    family is ``(R, M, blocks, C)``.  Same expressions and degeneracy
+    contract as :meth:`StreamingJansenAccumulator.finalize`, but with
+    vectorized reductions: bootstrap replicates only need per-seed
+    determinism, not the streaming bit-for-bit property.  Returns the
+    ``(R, blocks, C)`` estimates and ``"kept"``, the replicates with at
+    least one non-degenerate output component (the indices of a
+    replicate whose every component has zero variance are undefined).
     """
-    num_base_samples = f_a.shape[0]
-    output_shape = f_a.shape[1:]
-    flat_a = f_a.reshape(num_base_samples, -1)
-    flat_b = f_b.reshape(num_base_samples, -1)
-    num_components = flat_a.shape[1]
-    variance = np.var(np.concatenate([flat_a, flat_b]), axis=0, ddof=1)
+    variance = _pooled_variance(f_a, f_b)
     degenerate = variance <= 0.0
-    if degenerate.all():
-        raise SamplingError(
-            "every output component has zero variance; Sobol indices "
-            "are undefined"
-        )
     safe = np.where(degenerate, 1.0, variance)
 
     def closed_and_total(blocks):
-        flat = blocks.reshape(
-            blocks.shape[0], num_base_samples, num_components
-        )
-        mean_b = np.mean((flat_b[np.newaxis] - flat) ** 2, axis=1)
-        mean_a = np.mean((flat_a[np.newaxis] - flat) ** 2, axis=1)
-        closed = (safe - 0.5 * mean_b) / safe
-        total = (0.5 * mean_a) / safe
-        closed[:, degenerate] = np.nan
-        total[:, degenerate] = np.nan
+        mean_b = np.mean((f_b - blocks) ** 2, axis=1)
+        mean_a = np.mean((f_a - blocks) ** 2, axis=1)
+        closed = np.where(degenerate, np.nan, (safe - 0.5 * mean_b) / safe)
+        total = np.where(degenerate, np.nan, (0.5 * mean_a) / safe)
         return closed, total
-
-    def shaped(values):
-        if output_shape == ():
-            return values[:, 0]
-        return values.reshape((values.shape[0],) + output_shape)
 
     first_raw, first_total = closed_and_total(f_ab)
     first = np.clip(first_raw, 0.0, None)
-    first = np.where(first > first_total, first_total, first)
-    estimates = {"first": shaped(first), "total": shaped(first_total)}
+    estimates = {
+        "kept": ~degenerate.all(axis=(1, 2)),
+        "first": np.where(first > first_total, first_total, first),
+        "total": first_total,
+    }
     if f_ab_pairs is not None:
         pair_closed, _ = closed_and_total(f_ab_pairs)
-        interaction = np.stack([
-            pair_closed[position] - first_raw[i] - first_raw[j]
-            for position, (i, j) in enumerate(pairs)
-        ])
-        interaction = np.where(interaction < 0.0, 0.0, interaction)
-        estimates["pair_closed"] = shaped(pair_closed)
-        estimates["interaction"] = shaped(interaction)
+        left, right = np.asarray(pairs, dtype=np.intp).T
+        interaction = (pair_closed - first_raw[:, left]
+                       - first_raw[:, right])
+        estimates["pair_closed"] = pair_closed
+        estimates["interaction"] = np.where(interaction < 0.0, 0.0,
+                                            interaction)
     if f_ab_groups is not None:
-        group_closed, group_total = closed_and_total(f_ab_groups)
-        estimates["group_closed"] = shaped(group_closed)
-        estimates["group_total"] = shaped(group_total)
+        estimates["group_closed"], estimates["group_total"] = (
+            closed_and_total(f_ab_groups)
+        )
     return estimates
 
 
@@ -931,6 +931,17 @@ def jansen_bootstrap(f_a, f_b, f_ab, num_replicates=100, seed=0,
     an uninterrupted one.  (Replicates reduce vectorized -- the
     streaming bit-for-bit guarantee covers the point estimates, not the
     resampled quantile bounds.)
+
+    Each replicate's rows come from one ``rng.integers`` draw, in
+    replicate order.  The replicates are evaluated in slices: one
+    gather of the slice's rows into a stacked design and one vectorized
+    estimate over the slice.  The slice size follows from a fixed byte
+    budget for the gathered designs (``_BOOTSTRAP_SLICE_BYTES``), down
+    to one replicate per slice when a single design exceeds it, so
+    slicing changes neither the rows nor the peak memory of large
+    trace QoIs.  A replicate whose resample has zero variance in every
+    component is dropped, and ``num_replicates`` of the result counts
+    the replicates kept.
 
     Pass ``f_ab_pairs``/``pairs`` and/or ``f_ab_groups``/``groups`` (as
     in :func:`jansen_second_order` / :func:`jansen_group_indices`) to
@@ -990,50 +1001,67 @@ def jansen_bootstrap(f_a, f_b, f_ab, num_replicates=100, seed=0,
             entropy=int(seed), spawn_key=(_BOOTSTRAP_SPAWN_KEY,)
         )
     )
-    firsts, totals = [], []
-    pair_closeds, interactions = [], []
-    group_closeds, group_totals = [], []
-    for _ in range(num_replicates):
-        rows = rng.integers(0, num_base_samples, size=num_base_samples)
-        try:
-            estimates = _replicate_estimates(
-                f_a[rows], f_b[rows], f_ab[:, rows],
-                f_ab_pairs[:, rows] if f_ab_pairs is not None else None,
-                pairs,
-                f_ab_groups[:, rows] if f_ab_groups is not None else None,
-                groups,
-            )
-        except SamplingError:
-            # Degenerate resample (zero variance); draw again implicitly
-            # by skipping -- the replicate count below reflects it.
-            continue
-        firsts.append(estimates["first"])
-        totals.append(estimates["total"])
-        if f_ab_pairs is not None:
-            pair_closeds.append(estimates["pair_closed"])
-            interactions.append(estimates["interaction"])
-        if f_ab_groups is not None:
-            group_closeds.append(estimates["group_closed"])
-            group_totals.append(estimates["group_total"])
-    if not firsts:
+    output_shape = f_a.shape[1:]
+    blocks_per_row = 2 + sum(
+        blocks.shape[0] for blocks in (f_ab, f_ab_pairs, f_ab_groups)
+        if blocks is not None
+    )
+    slice_size = max(
+        1, _BOOTSTRAP_SLICE_BYTES // (f_a.nbytes * blocks_per_row)
+    )
+
+    def gather(blocks, rows):
+        # (blocks, M, ...) evaluations -> (R, M, blocks, C) resamples.
+        if blocks is None:
+            return None
+        blocks = blocks.reshape(blocks.shape[0], num_base_samples, -1)
+        return blocks.swapaxes(0, 1)[rows]
+
+    collected = {}
+    for offset in range(0, num_replicates, slice_size):
+        # One draw per replicate, in replicate order: the rows do not
+        # depend on the slicing.
+        rows = np.stack([
+            rng.integers(0, num_base_samples, size=num_base_samples)
+            for _ in range(min(slice_size, num_replicates - offset))
+        ])
+        estimates = _replicate_estimates(
+            gather(f_a[np.newaxis], rows), gather(f_b[np.newaxis], rows),
+            gather(f_ab, rows), gather(f_ab_pairs, rows), pairs,
+            gather(f_ab_groups, rows), groups,
+        )
+        # A degenerate resample (zero variance) is skipped; the
+        # replicate count below reflects it.
+        kept = estimates.pop("kept")
+        if not kept.all():
+            estimates = {key: values[kept] for key, values in estimates.items()}
+        for key, values in estimates.items():
+            collected.setdefault(key, []).append(values)
+
+    def stacked(key):
+        # One estimate family at a time, releasing its slices.
+        return np.concatenate(collected.pop(key)) if key in collected else None
+
+    firsts = stacked("first")
+    if not len(firsts):
         raise SamplingError(
             "every bootstrap replicate had zero output variance"
         )
     alpha = 0.5 * (1.0 - confidence)
 
-    def bounds(stack):
-        if not stack:
+    def bounds(values):
+        if values is None:
             return None, None
-        stacked = np.stack(stack)
-        return (np.quantile(stacked, alpha, axis=0),
-                np.quantile(stacked, 1.0 - alpha, axis=0))
+        shape = values.shape[1:2] + output_shape
+        return (np.quantile(values, alpha, axis=0).reshape(shape),
+                np.quantile(values, 1.0 - alpha, axis=0).reshape(shape))
 
     first_lower, first_upper = bounds(firsts)
-    total_lower, total_upper = bounds(totals)
-    closed_lower, closed_upper = bounds(pair_closeds)
-    interaction_lower, interaction_upper = bounds(interactions)
-    group_closed_lower, group_closed_upper = bounds(group_closeds)
-    group_total_lower, group_total_upper = bounds(group_totals)
+    total_lower, total_upper = bounds(stacked("total"))
+    closed_lower, closed_upper = bounds(stacked("pair_closed"))
+    interaction_lower, interaction_upper = bounds(stacked("interaction"))
+    group_closed_lower, group_closed_upper = bounds(stacked("group_closed"))
+    group_total_lower, group_total_upper = bounds(stacked("group_total"))
     return BootstrapInterval(
         first_lower, first_upper, total_lower, total_upper,
         len(firsts), confidence,

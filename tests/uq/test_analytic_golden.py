@@ -13,7 +13,7 @@ sample count for the nightly run.
 import numpy as np
 import pytest
 
-from repro.campaign import ScenarioSpec, SensitivitySpec, run_sensitivity_campaign
+from repro.campaign import ScenarioSpec, SensitivitySpec, run_campaign
 from repro.uq.analytic import (
     ishigami,
     ishigami_distribution,
@@ -319,7 +319,7 @@ class TestCampaignAcceptance:
         return SensitivitySpec(**settings)
 
     def test_second_order_campaign_recovers_closed_form(self):
-        result = run_sensitivity_campaign(self._spec())
+        result = run_campaign(self._spec(), reducer="jansen")
         truth = ishigami_indices()
         summary = result.summary()
         for position, pair in enumerate(result.second_order.pairs):
@@ -353,7 +353,7 @@ class TestCampaignAcceptance:
             num_base_samples=512,
             num_bootstrap=0,
         )
-        result = run_sensitivity_campaign(spec)
+        result = run_campaign(spec, reducer="jansen")
         truth = ishigami_indices()
         for component in (0, 1):
             assert np.allclose(
