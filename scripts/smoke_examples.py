@@ -78,7 +78,7 @@ def smoke_telemetry():
     """Run a tiny CLI campaign and validate its persisted telemetry.
 
     Exercises the full path -- spec template, run with a store,
-    per-chunk event files, ``report --timings`` rendering, and the
+    per-chunk telemetry, ``report --timings`` rendering, and the
     ``trace --validate`` schema check -- in subprocesses, exactly as a
     user would.  Returns True on success.
     """

@@ -272,26 +272,25 @@ def _chunk_events(record):
     return [head, *record.get("events", ())]
 
 
-def _merged_campaign_metrics(store, records):
+def _merged_campaign_metrics(store, records, prior_chunks):
     """Merge per-chunk metric registries into one campaign registry.
 
-    Reads from the store when one exists (so a resumed run folds the
-    pre-kill chunks' metrics back in); falls back to this call's
-    in-memory records for store-less runs.  Per-chunk wall/queue times
-    are folded in as histograms, making straggler spread queryable from
-    ``metrics.json`` alone.
+    ``records`` maps this run's chunks to their in-memory telemetry
+    records; the ``chunk`` events of ``prior_chunks`` (completed before
+    this run -- a resume folds the pre-kill chunks' metrics back in) are
+    read from the store.  The merge runs in chunk-index order, so the
+    result does not depend on completion order or on the kill/resume
+    history.  Per-chunk wall/queue times are folded in as histograms,
+    making straggler spread queryable from ``metrics.json`` alone.
     """
+    heads = dict(records)
+    for index in prior_chunks:
+        for event in store.read_chunk_telemetry(index):
+            if event.get("event") == "chunk":
+                heads[index] = event
     merged = MetricsRegistry()
-    if store is not None:
-        chunk_events = (
-            event
-            for index in store.telemetry_chunks()
-            for event in store.read_chunk_telemetry(index)
-            if event.get("event") == "chunk"
-        )
-    else:
-        chunk_events = iter(records.values())
-    for event in chunk_events:
+    for index in sorted(heads):
+        event = heads[index]
         if event.get("metrics"):
             merged.merge(event["metrics"])
         if "wall_s" in event:
@@ -415,10 +414,11 @@ def run_campaign(spec, store=None, executor=None, progress=None,
         ``True``/``False`` forces per-chunk telemetry capture on/off for
         this run; ``None`` (default) follows the global flag
         (:func:`repro.telemetry.enabled`, env ``REPRO_TELEMETRY``).
-        With a store, captured telemetry is persisted under
-        ``<store>/telemetry/`` (per-chunk JSONL written *before* each
-        chunk's ``.npz``, an append-only ``run.jsonl``, and the merged
-        ``metrics.json``).
+        With a store, captured telemetry is persisted: each chunk's
+        events inside its ``.npz`` (the ``telemetry`` member, written in
+        the same atomic file as the outputs), plus an append-only
+        ``telemetry/run.jsonl`` and the merged
+        ``telemetry/metrics.json``.
     retry:
         Optional fault-tolerance policy: a
         :class:`~repro.campaign.faults.RetryPolicy`, an int
@@ -576,6 +576,8 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
     frontier_clean = True
 
     def fold_frontier():
+        """Fold every available chunk at the frontier; returns the
+        ``fold`` run events for the caller to log."""
         nonlocal next_fold, frontier_clean
         fold_events = []
         while next_fold < total and (
@@ -623,10 +625,9 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
                     {"__parameters__": parameters[:stop],
                      **reducer.state_dict()},
                 )
-        if fold_events:
-            store.append_run_events(fold_events)
+        return fold_events
 
-    fold_frontier()
+    fold_events = fold_frontier()
     num_evaluated = 0
     chunk_retries = 0
     done = len(completed) + len(quarantined)
@@ -666,7 +667,7 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
         if index not in completed and index not in quarantined
     ]
     if persist_telemetry:
-        store.append_run_events([{
+        store.append_run_events([*fold_events, {
             "event": "run_start",
             "total_chunks": total,
             "completed_chunks": len(completed),
@@ -696,26 +697,29 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
                 check_reducer_tolerates()
                 done += 1
                 pulse(done)
-                fold_frontier()
+                fold_events = fold_frontier()
+                if fold_events:
+                    store.append_run_events(fold_events)
                 continue
             num_evaluated += result.indices.size
             record = getattr(result, "telemetry", None)
             if record is not None:
                 telemetry_records[result.chunk_index] = record
             if store is not None:
-                # Telemetry first: a kill between the two writes leaves
-                # an orphan event file for a chunk that will be redone,
-                # never a completed chunk with missing telemetry.
-                if persist_telemetry and record is not None:
-                    store.write_chunk_telemetry(
-                        result.chunk_index, _chunk_events(record)
-                    )
-                # The store is the buffer: out-of-order completions wait
-                # on disk until the fold frontier reaches them, so a
-                # straggler low-index chunk cannot pile later chunks'
-                # outputs up in memory.
-                store.write_chunk(result)
-            else:
+                # One atomic file holds the outputs and the telemetry.
+                # It is written before the fold, so a reducer snapshot
+                # never counts a chunk that is not on disk.
+                store.write_chunk(
+                    result,
+                    events=(_chunk_events(record)
+                            if persist_telemetry and record is not None
+                            else None),
+                )
+            if store is None or result.chunk_index == next_fold:
+                # The frontier chunk folds from memory just below.  With
+                # a store, out-of-order completions wait on disk until
+                # the frontier reaches them, so a straggler low-index
+                # chunk cannot pile later chunks' outputs up in memory.
                 memory_chunks[result.chunk_index] = result
             if result.chunk_index in stored_quarantine:
                 # Healed on retry: drop the quarantine record (the
@@ -727,6 +731,8 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
                 store.discard_quarantined([result.chunk_index])
             available.add(result.chunk_index)
             done += 1
+            pulse(done)
+            fold_events = fold_frontier()
             if persist_telemetry:
                 complete = {
                     "event": "chunk_complete",
@@ -739,9 +745,7 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
                     complete["worker"] = record["worker"]
                     if "queue_wait_s" in record:
                         complete["queue_wait_s"] = record["queue_wait_s"]
-                store.append_run_events([complete])
-            pulse(done)
-            fold_frontier()
+                store.append_run_events([complete, *fold_events])
     if next_fold != total:
         raise CampaignError(
             f"internal error: only {next_fold} of {total} chunks were "
@@ -773,7 +777,9 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
             summary["num_quarantined_samples"] = num_quarantined_samples
         store.write_summary(summary)
         if persist_telemetry:
-            merged = _merged_campaign_metrics(store, telemetry_records)
+            merged = _merged_campaign_metrics(
+                store, telemetry_records, completed
+            )
             if policy is not None or quarantined:
                 merged.increment("campaign.chunk_retries", chunk_retries)
                 merged.increment(

@@ -178,19 +178,17 @@ class SaltelliPlan:
         a = base[:self.num_base_samples]
         b = base[self.num_base_samples:]
         indices = np.asarray(indices, dtype=int)
-        points = np.empty((indices.size, self.dimension))
-        for out, global_index in enumerate(indices):
-            block, row = divmod(
-                self._check_index(global_index), self.num_base_samples
-            )
-            if block == 0:
-                points[out] = a[row]
-            elif block == 1:
-                points[out] = b[row]
-            else:
-                columns = list(self._swaps[block - 2])
-                points[out] = a[row]
-                points[out, columns] = b[row, columns]
+        outside = (indices < 0) | (indices >= self.num_evaluations)
+        if outside.any():
+            self._check_index(indices[np.argmax(outside)])
+        blocks, rows = np.divmod(indices, self.num_base_samples)
+        points = a[rows]
+        from_b = blocks == 1
+        points[from_b] = b[rows[from_b]]
+        for block in np.unique(blocks[blocks >= 2]):
+            out = np.flatnonzero(blocks == block)
+            columns = list(self._swaps[block - 2])
+            points[np.ix_(out, columns)] = b[np.ix_(rows[out], columns)]
         return points
 
     def _check_index(self, index):
@@ -344,28 +342,17 @@ class SensitivitySpec(CampaignSpec):
             return plan.compose(self.base_unit_points(), indices)
         from .runner import unit_sample
 
-        cache = {}
-
-        def base_row(stream_index):
-            if stream_index not in cache:
-                cache[stream_index] = unit_sample(
-                    self.seed, stream_index, self.dimension
-                )
-            return cache[stream_index]
-
+        # Fill only the base rows the indices touch; ``compose`` reads
+        # no other row (and rejects out-of-range indices first).
         m = self.num_base_samples
-        points = np.empty((indices.size, self.dimension))
-        for out, global_index in enumerate(indices):
-            block = plan.block_of(global_index)
-            row = plan.row_of(global_index)
-            if block == 1:
-                points[out] = base_row(m + row)
-            else:
-                points[out] = base_row(row)
-                if block >= 2:
-                    columns = list(plan.swap_columns(block))
-                    points[out, columns] = base_row(m + row)[columns]
-        return points
+        blocks, rows = np.divmod(indices, m)
+        base = np.empty((2 * m, self.dimension))
+        for stream_index in np.union1d(rows[blocks != 1],
+                                       m + rows[blocks >= 1]):
+            base[stream_index] = unit_sample(
+                self.seed, stream_index, self.dimension
+            )
+        return plan.compose(base, indices)
 
     def to_dict(self):
         data = {

@@ -9,14 +9,13 @@ Layout of a store directory::
                                # store (absent on idle stores)
         chunks/
             chunk_000000.npz   # indices, parameters, outputs of chunk 0
-            chunk_000001.npz
+            chunk_000001.npz   # (+ its telemetry events, when captured)
             ...
         reducer_state.npz      # checkpointed reduction state (optional)
         quarantine.json        # chunks that exhausted their retries
                                # (absent on failure-free campaigns)
         summary.json           # written once the campaign completes
         telemetry/             # optional observability layer
-            chunk_000000.jsonl # per-chunk spans + metrics (atomic)
             run.jsonl          # run-scoped events (append-only)
             metrics.json       # merged campaign MetricsRegistry
             progress.json      # latest heartbeat (atomically replaced)
@@ -38,12 +37,16 @@ discipline), so a resume restores the reduction itself rather than
 re-folding every chunk; stores without it -- including every pre-reducer
 store -- simply re-fold, which is bit-identical by construction.
 
-The ``telemetry/`` subtree is strictly additive and follows the same
-crash discipline: per-chunk event files are atomic (written *before*
-the chunk ``.npz``, so a completed chunk always has its telemetry),
-``run.jsonl`` is append-only across resumes, and a store without any of
-it remains fully usable -- telemetry readers return empty results
-instead of raising.
+Telemetry is strictly additive and follows the same crash discipline:
+a chunk's events travel inside its ``.npz`` as the optional
+``telemetry`` member (compact JSON bytes), so one atomic write publishes
+the outputs and their telemetry together and a completed chunk always
+has its telemetry.  ``run.jsonl`` is append-only across resumes, and a
+store without any of it remains fully usable -- telemetry readers
+return empty results instead of raising.  Stores written before the
+member existed kept each chunk's events in ``telemetry/chunk_*.jsonl``;
+the readers fall back to those files (read-only), so such stores still
+resume and report.
 
 ``lock.json`` serializes *ownership*: a runner acquires the store lock
 (:class:`StoreLock`, ``O_CREAT | O_EXCL``) before touching the
@@ -67,11 +70,12 @@ import zipfile
 import numpy as np
 
 from ..errors import CampaignError
-from ..telemetry import append_events, read_events, write_events
+from ..telemetry import append_events, read_events, validate_events
 from .spec import CampaignSpec
 
 FORMAT_VERSION = 1
 _CHUNK_DIR = "chunks"
+_TELEMETRY_MEMBER = "telemetry"
 _REDUCER_STATE = "reducer_state.npz"
 _STATE_META_KEY = "__meta__"
 _TELEMETRY_DIR = "telemetry"
@@ -312,9 +316,10 @@ class ArtifactStore:
                     f"{stored.name!r} with a different spec; refusing to "
                     "mix campaigns (use a fresh directory)"
                 )
+            self._make_directories()
             self.sweep_temporaries()
             return self
-        os.makedirs(self.chunk_dir, exist_ok=True)
+        self._make_directories()
         self.sweep_temporaries()
         manifest = {
             "format_version": FORMAT_VERSION,
@@ -324,6 +329,12 @@ class ArtifactStore:
             manifest["provenance"] = dict(provenance)
         self._write_json(self.manifest_path, manifest)
         return self
+
+    def _make_directories(self):
+        # Once per initialize: the chunk and telemetry writers assume
+        # both directories exist.
+        os.makedirs(self.chunk_dir, exist_ok=True)
+        os.makedirs(self.telemetry_dir, exist_ok=True)
 
     def sweep_temporaries(self):
         """Remove stale ``*.tmp`` files leaked by killed writers.
@@ -426,12 +437,28 @@ class ArtifactStore:
             return False
         return {"indices.npy", "parameters.npy", "outputs.npy"} <= names
 
-    def write_chunk(self, result):
+    def write_chunk(self, result, events=None):
         """Persist one :class:`~repro.campaign.executor.ChunkResult`.
 
-        Atomic: the chunk file appears only once completely written.
+        ``events`` (optional) is the chunk's telemetry event list; it is
+        validated and stored in the same file as the ``telemetry``
+        member (compact JSON bytes).  Atomic: the chunk file appears
+        only once completely written, outputs and telemetry together.
+        The store must be initialized (``initialize`` creates
+        ``chunks/``).
         """
-        os.makedirs(self.chunk_dir, exist_ok=True)
+        arrays = {
+            "indices": result.indices,
+            "parameters": result.parameters,
+            "outputs": result.outputs,
+        }
+        if events is not None:
+            events = list(events)
+            validate_events(events)
+            arrays[_TELEMETRY_MEMBER] = np.frombuffer(
+                json.dumps(events, separators=(",", ":")).encode("utf-8"),
+                dtype=np.uint8,
+            )
         path = self.chunk_path(result.chunk_index)
         # Unique temp name: concurrent writers (two resumes of the same
         # store) each publish a complete file via their own rename.
@@ -441,12 +468,7 @@ class ArtifactStore:
             suffix=".tmp",
         )
         with os.fdopen(descriptor, "wb") as handle:
-            np.savez(
-                handle,
-                indices=result.indices,
-                parameters=result.parameters,
-                outputs=result.outputs,
-            )
+            np.savez(handle, **arrays)
         os.replace(temporary, path)
         return path
 
@@ -602,44 +624,59 @@ class ArtifactStore:
     def telemetry_metrics_path(self):
         return os.path.join(self.telemetry_dir, "metrics.json")
 
-    def chunk_telemetry_path(self, chunk_index):
+    def _legacy_telemetry_path(self, chunk_index):
+        # Stores written before chunk files carried a ``telemetry``
+        # member kept each chunk's events here; read-only now.
         return os.path.join(
             self.telemetry_dir, f"chunk_{int(chunk_index):06d}.jsonl"
         )
 
+    def _chunk_has_telemetry(self, chunk_index):
+        try:
+            with zipfile.ZipFile(self.chunk_path(chunk_index)) as archive:
+                return f"{_TELEMETRY_MEMBER}.npy" in archive.namelist()
+        except (OSError, ValueError, zipfile.BadZipFile):
+            return False
+
     def telemetry_chunks(self):
-        """Sorted indices of every chunk with a telemetry event file."""
-        if not os.path.isdir(self.telemetry_dir):
-            return []
-        indices = []
-        for name in os.listdir(self.telemetry_dir):
-            if name.startswith("chunk_") and name.endswith(".jsonl"):
-                try:
-                    indices.append(
-                        int(name[len("chunk_"):-len(".jsonl")])
-                    )
-                except ValueError:
-                    continue
+        """Sorted indices of every chunk with persisted telemetry: chunk
+        files with a ``telemetry`` member, plus legacy
+        ``telemetry/chunk_*.jsonl`` files."""
+        indices = {
+            index for index in self.completed_chunks()
+            if self._chunk_has_telemetry(index)
+        }
+        if os.path.isdir(self.telemetry_dir):
+            for name in os.listdir(self.telemetry_dir):
+                if name.startswith("chunk_") and name.endswith(".jsonl"):
+                    try:
+                        indices.add(int(name[len("chunk_"):-len(".jsonl")]))
+                    except ValueError:
+                        continue
         return sorted(indices)
 
-    def write_chunk_telemetry(self, chunk_index, events):
-        """Atomically persist one chunk's telemetry events (JSONL).
-
-        Called by the runner *before* ``write_chunk``: a kill between
-        the two writes leaves an orphan telemetry file for a chunk that
-        will be recomputed (and its telemetry rewritten), never a
-        completed chunk with missing telemetry.
-        """
-        return write_events(
-            self.chunk_telemetry_path(chunk_index), events
-        )
-
     def read_chunk_telemetry(self, chunk_index):
-        """One chunk's telemetry events (``[]`` when never captured)."""
-        path = self.chunk_telemetry_path(chunk_index)
-        if not os.path.isfile(path):
+        """One chunk's telemetry events (``[]`` when never captured).
+
+        Reads the chunk file's ``telemetry`` member; chunks without one
+        fall back to the legacy ``telemetry/chunk_*.jsonl`` file.  An
+        unreadable chunk file counts as having no member.
+        """
+        path = self.chunk_path(chunk_index)
+        if os.path.isfile(path):
+            try:
+                with np.load(path) as data:
+                    if _TELEMETRY_MEMBER in data.files:
+                        return json.loads(
+                            data[_TELEMETRY_MEMBER].tobytes()
+                        )
+            except (OSError, ValueError, KeyError, EOFError,
+                    zipfile.BadZipFile):
+                pass
+        legacy = self._legacy_telemetry_path(chunk_index)
+        if not os.path.isfile(legacy):
             return []
-        return read_events(path)
+        return read_events(legacy)
 
     def append_run_events(self, events):
         """Append run-scoped events to ``telemetry/run.jsonl``."""
@@ -730,10 +767,17 @@ class ArtifactStore:
         # fall back to the pure-Python one.  Readers accept either form.
         text = json.dumps(payload, sort_keys=True)
         directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        descriptor, temporary = tempfile.mkstemp(
-            dir=directory, suffix=".tmp"
-        )
+        try:
+            descriptor, temporary = tempfile.mkstemp(
+                dir=directory, suffix=".tmp"
+            )
+        except FileNotFoundError:
+            # Create the directory only when missing: the store's own
+            # directories already exist after ``initialize``.
+            os.makedirs(directory, exist_ok=True)
+            descriptor, temporary = tempfile.mkstemp(
+                dir=directory, suffix=".tmp"
+            )
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.write("\n")

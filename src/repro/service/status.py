@@ -43,8 +43,11 @@ def partial_moments(store):
     ``None`` when the store has no checkpoint yet, the reducer is not
     ``"moments"``, or nothing has been folded.
     """
-    store = _as_store(store)
-    restored = store.read_reducer_state()
+    return _moments_of(_as_store(store).read_reducer_state())
+
+
+def _moments_of(restored):
+    """:func:`partial_moments` of an already read reducer state."""
     if restored is None:
         return None
     meta, arrays = restored
@@ -72,8 +75,11 @@ def partial_moments(store):
 def frontier(store):
     """The folded-chunk frontier: ``next_chunk`` of the checkpointed
     reduction (0 when no reducer state exists)."""
-    store = _as_store(store)
-    restored = store.read_reducer_state()
+    return _frontier_of(_as_store(store).read_reducer_state())
+
+
+def _frontier_of(restored):
+    """:func:`frontier` of an already read reducer state."""
     if restored is None:
         return 0
     meta, _ = restored
@@ -101,6 +107,8 @@ def store_status(store):
         return status
     spec = store.load_spec()
     completed = store.completed_chunks(validate=False)
+    # One read serves both the frontier and the partial moments.
+    restored = store.read_reducer_state()
     quarantine = store.read_quarantine()
     complete = os.path.isfile(store.summary_path)
     status.update({
@@ -112,7 +120,7 @@ def store_status(store):
         "num_samples": int(spec.num_samples),
         "total_chunks": int(spec.num_chunks),
         "chunks_completed": len(completed),
-        "chunks_folded": frontier(store),
+        "chunks_folded": _frontier_of(restored),
         "quarantined_chunks": len(quarantine),
         "quarantined_samples": int(sum(
             len(record.get("indices", ()))
@@ -126,7 +134,7 @@ def store_status(store):
     progress = store.read_progress()
     if progress is not None:
         status["progress"] = progress
-    moments = partial_moments(store)
+    moments = _moments_of(restored)
     if moments is not None:
         status["moments"] = moments
     if complete:

@@ -135,9 +135,9 @@ def _encode(event):
 def write_events(path, events, validate=True):
     """Atomically write an event list as a JSONL file (temp + replace).
 
-    Used for per-chunk event files: the file either exists completely
-    or not at all, mirroring the chunk ``.npz`` discipline, so a killed
-    run can never leave a torn chunk log behind.
+    The file either exists completely or not at all, mirroring the
+    chunk ``.npz`` discipline, so a killed writer never leaves a torn
+    event file behind.
     """
     events = list(events)
     if validate:
@@ -161,11 +161,14 @@ def append_events(path, events, validate=True):
     events = list(events)
     if validate:
         validate_events(events)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(_encode(event) + "\n")
+    text = "".join(_encode(event) + "\n" for event in events)
+    try:
+        handle = open(path, "a", encoding="utf-8")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        handle = open(path, "a", encoding="utf-8")
+    with handle:
+        handle.write(text)
         handle.flush()
     return path
 

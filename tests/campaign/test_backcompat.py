@@ -26,6 +26,9 @@ from repro.campaign import (
     run_sensitivity_campaign,
 )
 from repro.campaign.sensitivity import _reset_deprecation_warnings
+from repro.telemetry import MetricsRegistry, write_events
+
+from .conftest import make_toy_spec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -134,6 +137,70 @@ class TestStoreCompatibility:
         with open(pr3_store.manifest_path, "rb") as handle:
             after = handle.read()
         assert before == after
+
+
+class Abort(RuntimeError):
+    pass
+
+
+def _to_legacy_telemetry_layout(store, orphans=()):
+    """Rewrite a store's chunks into the layout before chunk files held
+    their telemetry: ``.npz`` files with the three arrays only, and the
+    events in ``telemetry/chunk_<index>.jsonl``.  ``orphans`` maps a
+    missing chunk to the event file a kill between the two old writes
+    left behind."""
+    def legacy_path(index):
+        return os.path.join(store.telemetry_dir, f"chunk_{index:06d}.jsonl")
+
+    for index in store.completed_chunks():
+        events = store.read_chunk_telemetry(index)
+        indices, parameters, outputs = store.read_chunk(index)
+        with open(store.chunk_path(index), "wb") as handle:
+            np.savez(handle, indices=indices, parameters=parameters,
+                     outputs=outputs)
+        write_events(legacy_path(index), events)
+    for index, events in dict(orphans).items():
+        write_events(legacy_path(index), events)
+
+
+class TestLegacyChunkTelemetryLayout:
+    """Stores whose chunk telemetry lives in ``telemetry/chunk_*.jsonl``
+    (the layout before chunk files carried a ``telemetry`` member) still
+    resume and report."""
+
+    def test_half_finished_legacy_store_resumes(self, tmp_path):
+        spec = make_toy_spec(num_samples=30, chunk_size=5)  # 6 chunks
+        reference = ArtifactStore(tmp_path / "reference")
+        expected = run_campaign(spec, store=reference, telemetry=True)
+
+        store = ArtifactStore(tmp_path / "legacy")
+        calls = []
+
+        def kill_after_three(done, total):
+            calls.append(done)
+            if len(calls) == 3:
+                raise Abort()
+
+        with pytest.raises(Abort):
+            run_campaign(spec, store=store, telemetry=True,
+                         progress=kill_after_three)
+        assert store.completed_chunks() == [0, 1, 2]
+        _to_legacy_telemetry_layout(
+            store, orphans={3: reference.read_chunk_telemetry(3)})
+        assert store.read_chunk_telemetry(0)[0]["chunk"] == 0
+
+        resumed = resume_campaign(store, telemetry=True)
+        assert resumed.num_evaluated == 15
+        assert store.read_summary() == expected.summary()
+        chunks = store.read_telemetry()["chunks"]
+        assert sorted(chunks) == list(range(spec.num_chunks))
+        for index, events in chunks.items():
+            assert (events[0]["event"], events[0]["chunk"]) == \
+                ("chunk", index)
+        # The merged metrics count the legacy chunks' records too.
+        merged = MetricsRegistry.from_dict(store.read_telemetry_metrics())
+        assert merged.histogram_stats("chunk.wall_s")["count"] == \
+            spec.num_chunks
 
 
 class TestDeprecationShims:

@@ -1,7 +1,12 @@
 """Tests for deterministic sampling, execution, reduction and resume."""
 
+import json
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     ArtifactStore,
@@ -10,15 +15,16 @@ from repro.campaign import (
     resume_campaign,
     run_campaign,
 )
-from repro.campaign.executor import evaluate_chunk, resolve_model
+from repro.campaign.executor import Executor, evaluate_chunk, resolve_model
 from repro.campaign.runner import (
+    _merged_campaign_metrics,
     campaign_chunks,
     campaign_parameters,
     unit_sample,
 )
 from repro.errors import CampaignError
 
-from .conftest import make_toy_spec
+from .conftest import make_toy_sensitivity_spec, make_toy_spec
 
 
 class TestDeterministicSampling:
@@ -169,6 +175,80 @@ class TestResume:
     def test_resume_without_manifest_raises(self, tmp_path):
         with pytest.raises(CampaignError):
             resume_campaign(tmp_path / "empty")
+
+
+class PermutedExecutor(Executor):
+    """Serial evaluation, results yielded in a given chunk order."""
+
+    name = "permuted"
+
+    def __init__(self, order):
+        self.order = list(order)
+
+    def run_chunks(self, model_source, chunks, policy=None):
+        model = resolve_model(model_source)
+        results = {chunk.chunk_index: evaluate_chunk(model, chunk)
+                   for chunk in chunks}
+        for index in self.order:
+            yield results[index]
+
+
+def ahead_of_frontier(order):
+    """Chunks of an arrival order that arrive before the fold frontier
+    reaches them."""
+    frontier, arrived, ahead = 0, set(), []
+    for index in order:
+        if index != frontier:
+            ahead.append(index)
+        arrived.add(index)
+        while frontier in arrived:
+            frontier += 1
+    return ahead
+
+
+class TestOutOfOrderFold:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(("moments", "jansen")),
+           order=st.integers(1, 6).flatmap(
+               lambda n: st.permutations(range(n))))
+    def test_only_chunks_ahead_of_the_frontier_are_read_back(self, kind,
+                                                             order):
+        num_chunks = len(order)
+        if kind == "moments":
+            spec = make_toy_spec(num_samples=3 * num_chunks, chunk_size=3)
+        else:  # 4 base samples x (d + 2) = 24 evaluations
+            spec = make_toy_sensitivity_spec(
+                num_base_samples=4, chunk_size=-(-24 // num_chunks))
+        assert spec.num_chunks == num_chunks
+        serial = run_campaign(spec, telemetry=False)
+
+        reads = []
+        read_chunk = ArtifactStore.read_chunk
+
+        def spy(store, chunk_index):
+            reads.append(chunk_index)
+            return read_chunk(store, chunk_index)
+
+        with tempfile.TemporaryDirectory() as root, \
+                pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ArtifactStore, "read_chunk", spy)
+            store = ArtifactStore(root)
+            permuted = run_campaign(spec, store=store, telemetry=True,
+                                    executor=PermutedExecutor(order))
+            assert sorted(reads) == sorted(ahead_of_frontier(order))
+            # metrics.json merges in chunk-index order: the same bits as
+            # a merge re-read from the chunk files.
+            reread = _merged_campaign_metrics(
+                store, {}, store.completed_chunks())
+            assert json.dumps(reread.as_dict(), sort_keys=True) == \
+                json.dumps(store.read_telemetry_metrics(), sort_keys=True)
+        assert json.dumps(permuted.summary(), sort_keys=True) == \
+            json.dumps(serial.summary(), sort_keys=True)
+        assert np.array_equal(permuted.parameters, serial.parameters)
+        if kind == "moments":
+            for name in ("mean", "std", "minimum", "maximum"):
+                assert np.array_equal(getattr(permuted, name),
+                                      getattr(serial, name))
 
 
 class TestExecutorInjectionIntoUQ:

@@ -17,7 +17,11 @@ from repro.campaign import (
     run_sensitivity_campaign,
 )
 from repro.campaign.executor import evaluate_chunk, resolve_model
-from repro.campaign.runner import campaign_chunks, campaign_parameters
+from repro.campaign.runner import (
+    campaign_chunks,
+    campaign_parameters,
+    unit_sample,
+)
 from repro.errors import CampaignError
 from repro.uq.sensitivity import saltelli_sample, sobol_indices
 
@@ -60,6 +64,33 @@ class TestSaltelliPlan:
             assert np.array_equal(
                 plan.compose(base, plan.block_range(2 + i)), ab[i]
             )
+
+    def test_compose_any_index_order_bitwise(self):
+        """Indices from every block, shuffled, give the rows a per-row
+        composition gives: ``A`` rows with the block's columns from
+        ``B``."""
+        m, d = 5, 4
+        plan = SaltelliPlan(m, d, second_order=True, groups=[[0, 2]])
+        base = np.random.default_rng(2).random((2 * m, d))
+        indices = np.random.default_rng(3).permutation(
+            plan.num_evaluations)[:23]
+        expected = np.empty((indices.size, d))
+        for out, index in enumerate(indices):
+            block, row = divmod(int(index), m)
+            expected[out] = base[m + row] if block == 1 else base[row]
+            columns = list(plan.swap_columns(block))
+            if block >= 2:
+                expected[out, columns] = base[m + row, columns]
+        assert plan.compose(base, indices).tobytes() == expected.tobytes()
+        assert plan.compose(base, []).shape == (0, d)
+
+    def test_compose_names_the_first_out_of_range_index(self):
+        plan = SaltelliPlan(4, 2)
+        base = np.zeros((8, 2))
+        with pytest.raises(CampaignError, match="index 99 out of range"):
+            plan.compose(base, [0, 99, -1])
+        with pytest.raises(CampaignError, match="index -1 out of range"):
+            plan.compose(base, [3, -1, 99])
 
     def test_roundtrip_dict(self):
         plan = SaltelliPlan(16, 5)
@@ -135,6 +166,18 @@ class TestSensitivitySpec:
             SensitivitySpec.from_dict({**base, "num_bootstrap": -1})
         with pytest.raises(CampaignError):
             SensitivitySpec.from_dict({**base, "confidence": 1.5})
+
+    def test_counter_sampler_rows_are_unit_samples(self):
+        """Counter base row ``r`` of ``A`` / ``B`` is sample ``r`` /
+        ``M + r`` of the per-sample stream."""
+        spec = make_toy_sensitivity_spec(sampler="counter")
+        m, d = spec.num_base_samples, spec.dimension
+        rows = spec.unit_points([m + 3, 3, 2 * m + 3])
+        a3 = unit_sample(spec.seed, 3, d)
+        b3 = unit_sample(spec.seed, m + 3, d)
+        assert np.array_equal(rows[0], b3)
+        assert np.array_equal(rows[1], a3)
+        assert np.array_equal(rows[2], np.concatenate([b3[:1], a3[1:]]))
 
     def test_counter_sampler_supported(self):
         spec = make_toy_sensitivity_spec(sampler="counter")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.campaign import ArtifactStore
 from repro.campaign.executor import ChunkResult
-from repro.errors import CampaignError
+from repro.errors import CampaignError, TelemetryError
 
 from .conftest import make_toy_spec
 
@@ -75,6 +75,44 @@ class TestChunks:
         store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
         with pytest.raises(CampaignError):
             store.read_chunk(0)
+
+    def test_events_travel_inside_the_chunk_file(self, tmp_path, toy_spec):
+        store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
+        events = [{"event": "chunk", "chunk": 2, "samples": 3,
+                   "worker": "w", "wall_s": 0.25}]
+        original = _chunk(2)
+        store.write_chunk(original, events=events)
+        assert os.listdir(store.chunk_dir) == ["chunk_000002.npz"]
+        assert os.listdir(store.telemetry_dir) == []
+        assert store.read_chunk_telemetry(2) == events
+        assert store.telemetry_chunks() == [2]
+        # The member is optional for readers of the outputs.
+        assert store.completed_chunks(validate=True) == [2]
+        for read, written in zip(store.read_chunk(2), (
+                original.indices, original.parameters, original.outputs)):
+            assert np.array_equal(read, written)
+
+    def test_chunk_without_events_has_no_telemetry(self, tmp_path,
+                                                   toy_spec):
+        store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
+        store.write_chunk(_chunk(0))
+        assert store.read_chunk_telemetry(0) == []
+        assert store.telemetry_chunks() == []
+
+    def test_invalid_events_write_nothing(self, tmp_path, toy_spec):
+        store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
+        with pytest.raises(TelemetryError):
+            store.write_chunk(_chunk(0), events=[{"event": "mystery"}])
+        assert os.listdir(store.chunk_dir) == []
+
+    def test_initialize_creates_both_directories(self, tmp_path, toy_spec):
+        store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
+        assert os.path.isdir(store.chunk_dir)
+        assert os.path.isdir(store.telemetry_dir)
+        # An existing store missing them gets them back on initialize.
+        os.rmdir(store.telemetry_dir)
+        store.initialize(toy_spec)
+        assert os.path.isdir(store.telemetry_dir)
 
     def test_foreign_files_ignored(self, tmp_path, toy_spec):
         store = ArtifactStore(tmp_path / "store").initialize(toy_spec)

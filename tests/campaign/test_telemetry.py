@@ -46,6 +46,12 @@ def _store_signatures(store):
             for index, events in data["chunks"].items()}
 
 
+def _telemetry_member(store, chunk_index):
+    """The raw ``telemetry`` member bytes of one chunk file."""
+    with np.load(store.chunk_path(chunk_index)) as data:
+        return data["telemetry"].tobytes()
+
+
 class TestPersistedTelemetry:
     def test_serial_run_populates_store(self, toy_spec, tmp_path):
         store = ArtifactStore(tmp_path / "store")
@@ -136,20 +142,17 @@ class TestKillResume:
 
         interrupted = ArtifactStore(tmp_path / "interrupted")
         run_campaign(spec, store=interrupted, telemetry=True)
-        # Simulate a kill between the telemetry write and the chunk
-        # write of chunk 1 (the documented write ordering): the chunk
-        # npz is gone, the orphan telemetry file may remain.
+        # Simulate a kill before chunk 1's atomic write: its file (and
+        # with it its telemetry member) is gone.
         os.remove(interrupted.chunk_path(1))
-        with open(interrupted.chunk_telemetry_path(0), "rb") as handle:
-            survivor_bytes = handle.read()
+        survivor_bytes = _telemetry_member(interrupted, 0)
 
         resumed = resume_campaign(interrupted, telemetry=True)
         assert resumed.num_evaluated == 4
 
-        # Completed chunks were never recomputed: their telemetry files
-        # are byte-identical to before the kill.
-        with open(interrupted.chunk_telemetry_path(0), "rb") as handle:
-            assert handle.read() == survivor_bytes
+        # Completed chunks were never recomputed: their telemetry
+        # members are byte-identical to before the kill.
+        assert _telemetry_member(interrupted, 0) == survivor_bytes
         # The final chunk-ordered event set matches an uninterrupted
         # run structurally (timings differ, structure must not).
         assert _store_signatures(interrupted) == \

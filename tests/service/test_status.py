@@ -51,6 +51,23 @@ class TestStoreStatus:
         assert moments["mean_max"] >= moments["mean_min"]
         assert not status["locked"]
 
+    def test_reducer_state_read_once_per_snapshot(self, tmp_path,
+                                                  monkeypatch):
+        spec = make_toy_spec(num_samples=40, chunk_size=5)
+        store = run_partially(spec, tmp_path / "s")
+        reads = []
+        read_reducer_state = ArtifactStore.read_reducer_state
+
+        def spy(self):
+            reads.append(self.path)
+            return read_reducer_state(self)
+
+        monkeypatch.setattr(ArtifactStore, "read_reducer_state", spy)
+        status = store_status(store)
+        assert status["chunks_folded"] > 0
+        assert status["moments"]["count"] == status["chunks_folded"] * 5
+        assert len(reads) == 1
+
     def test_complete_store(self, tmp_path):
         spec = make_toy_spec()
         result = run_campaign(spec, store=tmp_path / "s")
