@@ -17,9 +17,9 @@ M (12 + 2 + 66) coupled transients -- size M to your budget)::
 
     repro-campaign sobol spec date16 --samples 64 --second-order \\
         --groups "0,1,2,3,4,5;6,7,8,9,10,11" -o sobol2.json
-    repro-campaign sobol run sobol2.json --store sens2/ \\
+    repro-campaign run sobol2.json --store sens2/ \\
         --executor process --workers 4 --streaming
-    repro-campaign sobol report sens2/
+    repro-campaign report sens2/
 """
 
 import sys
@@ -87,7 +87,7 @@ def main():
     match = np.array_equal(stream.second_order.interaction,
                            result.second_order.interaction)
     print(f"\nstreaming re-reduce bit-identical: {match}")
-    print(f"artifact store (reusable via 'repro-campaign sobol resume'): "
+    print(f"artifact store (reusable via 'repro-campaign resume'): "
           f"{store}")
 
 

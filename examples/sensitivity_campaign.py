@@ -51,7 +51,7 @@ def main():
     )
     print()
     print(format_sensitivity_summary(result.summary()))
-    print(f"\nartifact store (reusable via 'repro-campaign sobol resume'): "
+    print(f"\nartifact store (reusable via 'repro-campaign resume'): "
           f"{store}")
 
 

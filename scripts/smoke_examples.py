@@ -24,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import zipfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES_DIR = os.path.join(REPO_ROOT, "examples")
@@ -109,14 +110,17 @@ def smoke_telemetry():
                 print(completed.stdout[-4000:])
                 return False
             print(f"ok ({elapsed:.1f}s)")
-        telemetry_dir = os.path.join(store, "telemetry")
-        chunk_logs = [
-            name for name in os.listdir(telemetry_dir)
-            if name.startswith("chunk_") and name.endswith(".jsonl")
-        ] if os.path.isdir(telemetry_dir) else []
+        # Each chunk file carries its events as the ``telemetry`` member
+        # (DESIGN.md "Store layout and kill/resume contract").
+        chunk_dir = os.path.join(store, "chunks")
+        chunk_logs = sorted(
+            name for name in os.listdir(chunk_dir)
+            if name.endswith(".npz") and "telemetry.npy" in
+            zipfile.ZipFile(os.path.join(chunk_dir, name)).namelist()
+        )
         if len(chunk_logs) != 2:
-            print(f"telemetry smoke: expected 2 chunk event logs in "
-                  f"{telemetry_dir}, found {sorted(chunk_logs)}")
+            print(f"telemetry smoke: expected 2 chunk files with a "
+                  f"telemetry member in {chunk_dir}, found {chunk_logs}")
             return False
     return True
 

@@ -57,7 +57,6 @@ from .campaign import (
     ArtifactStore,
     CampaignResult,
     CampaignSpec,
-    FuturesExecutor,
     ParallelExecutor,
     ScenarioSpec,
     SerialExecutor,
@@ -143,7 +142,6 @@ __all__ = [
     "CampaignSpec",
     "SerialExecutor",
     "ParallelExecutor",
-    "FuturesExecutor",
     "register_backend",
     "register_reducer",
     # array backends

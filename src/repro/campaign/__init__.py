@@ -11,9 +11,8 @@ study loop into a distributable, checkpointed, resumable campaign:
 * :mod:`~repro.campaign.registry` -- names -> problem builders, QoI
   extractors, waveforms, distributions;
 * :mod:`~repro.campaign.executor` -- registry-backed executor backends:
-  :class:`SerialExecutor`, the process-pool :class:`ParallelExecutor`
-  (model built once per worker), the generic :class:`FuturesExecutor`
-  adapter over any ``concurrent.futures``-shaped object, and
+  :class:`SerialExecutor`, the pool :class:`ParallelExecutor` over
+  processes or threads (model built once per worker), and
   :func:`register_backend` for user backends (Dask, MPI, ...);
 * :mod:`~repro.campaign.reducer` -- registry-backed streaming reducers
   (what the evaluations become): :class:`MomentsReducer` running
@@ -41,7 +40,6 @@ reducer only ever sees the checkpointed chunk outputs in chunk order.
 from .executor import (
     ChunkResult,
     Executor,
-    FuturesExecutor,
     ParallelExecutor,
     SerialExecutor,
     WorkChunk,
@@ -84,8 +82,6 @@ from .sensitivity import (
     SaltelliPlan,
     SensitivityResult,
     SensitivitySpec,
-    resume_sensitivity_campaign,
-    run_sensitivity_campaign,
 )
 from .spec import CampaignSpec, ScenarioSpec
 from .store import ArtifactStore, StoreLock
@@ -96,12 +92,9 @@ __all__ = [
     "SaltelliPlan",
     "SensitivitySpec",
     "SensitivityResult",
-    "run_sensitivity_campaign",
-    "resume_sensitivity_campaign",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
-    "FuturesExecutor",
     "WorkChunk",
     "ChunkResult",
     "ChunkEvaluationError",

@@ -18,7 +18,7 @@ Subcommands::
             directory -- frontier, quarantine, heartbeat, partial
             moments, all without reading chunk data
     watch   stream JSONL status lines until the job/store completes
-    sobol   thin aliases kept for sensitivity-campaign muscle memory
+    sobol   ``sobol spec`` writes a Sobol sensitivity spec template
 
 Quickstart (the paper's Monte Carlo study, distributed over 4 workers)::
 
@@ -49,12 +49,9 @@ uncertainty drives the hottest-wire temperature variance)::
         --workers 4
     repro-campaign report sens/
 
-(``repro-campaign sobol run/resume/report`` still work as aliases.)
-
 ``--executor`` names any registered backend -- ``serial`` (default),
-``process`` (process pool with per-worker model reuse; alias
-``parallel``), ``thread`` (thread pool behind the generic futures
-adapter), or anything user code added via
+``process`` or ``thread`` (a process or thread pool; every worker
+builds the model once), or anything user code added via
 :func:`repro.campaign.register_backend`; passing ``--workers`` with a
 backend that cannot honor it is an error, never silently ignored.
 
@@ -171,10 +168,6 @@ def _add_reducer_arguments(parser):
         "--pce-degree", type=int, default=None, metavar="P",
         help="total polynomial degree for --reducer pce",
     )
-    _add_bootstrap_arguments(parser)
-
-
-def _add_bootstrap_arguments(parser):
     parser.add_argument(
         "--bootstrap", type=int, default=None,
         help="override the spec's bootstrap replicate count for the "
@@ -379,8 +372,8 @@ def _build_parser():
                             "wait forever)")
 
     sobol = commands.add_parser(
-        "sobol", help="sensitivity-campaign aliases (spec is the only "
-                      "subcommand the generic verbs lack)"
+        "sobol", help="sensitivity-campaign templates (run, resume and "
+                      "report them with the generic verbs)"
     )
     sobol_commands = sobol.add_subparsers(dest="sobol_command", required=True)
 
@@ -412,27 +405,6 @@ def _build_parser():
              "column indices; adds one grouped block per group",
     )
 
-    sobol_run = sobol_commands.add_parser(
-        "run", help="alias of 'run' for sensitivity specs"
-    )
-    sobol_run.add_argument("spec", help="path of the JSON campaign spec")
-    sobol_run.add_argument("--store", default=None,
-                           help="artifact store directory (enables resume)")
-    _add_executor_arguments(sobol_run)
-    _add_bootstrap_arguments(sobol_run)
-
-    sobol_resume = sobol_commands.add_parser(
-        "resume", help="alias of 'resume' for sensitivity stores"
-    )
-    sobol_resume.add_argument("store", help="artifact store directory")
-    _add_executor_arguments(sobol_resume)
-    _add_bootstrap_arguments(sobol_resume)
-    _add_quarantine_arguments(sobol_resume)
-
-    sobol_report = sobol_commands.add_parser(
-        "report", help="alias of 'report'"
-    )
-    sobol_report.add_argument("store", help="artifact store directory")
     return parser
 
 
@@ -544,19 +516,8 @@ def main(argv=None):
         return 0
 
 
-def _run_command(spec, arguments, out, require_sensitivity=False):
-    """Shared body of ``run`` and ``sobol run``."""
+def _run_command(spec, arguments, out):
     _import_scenario_module(spec)
-    if require_sensitivity:
-        from .sensitivity import SensitivitySpec
-
-        if not isinstance(spec, SensitivitySpec):
-            print(
-                "error: not a sensitivity campaign spec (use "
-                "'repro-campaign run' for other campaign kinds)",
-                file=sys.stderr,
-            )
-            return 1
     reducer = _reducer_from_arguments(spec, arguments)
     executor = make_executor(arguments.executor,
                              num_workers=arguments.workers)
@@ -576,7 +537,6 @@ def _run_command(spec, arguments, out, require_sensitivity=False):
 
 
 def _resume_command(arguments, out):
-    """Shared body of ``resume`` and ``sobol resume``."""
     store = ArtifactStore(arguments.store)
     if not store.exists():
         raise CampaignError(
@@ -884,49 +844,34 @@ def _dispatch(arguments):
         return _watch_command(arguments, out)
 
     if arguments.command == "sobol":
-        return _dispatch_sobol(arguments, out)
+        return _sobol_spec_command(arguments, out)
 
     raise AssertionError(f"unhandled command {arguments.command!r}")
 
 
-def _dispatch_sobol(arguments, out):
-    if arguments.sobol_command == "spec":
-        if arguments.problem != "date16":
-            print(
-                f"no sensitivity spec template for problem "
-                f"{arguments.problem!r} (templates exist for: date16); "
-                "write the JSON by hand",
-                file=sys.stderr,
-            )
-            return 2
-        from ..package3d.scenarios import date16_sensitivity_spec
-
-        spec = date16_sensitivity_spec(
-            num_base_samples=arguments.samples,
-            seed=arguments.seed,
-            chunk_size=arguments.chunk_size,
-            resolution=arguments.resolution,
-            qoi=arguments.qoi,
-            second_order=arguments.second_order,
-            groups=_parse_groups(arguments.groups),
+def _sobol_spec_command(arguments, out):
+    if arguments.problem != "date16":
+        print(
+            f"no sensitivity spec template for problem "
+            f"{arguments.problem!r} (templates exist for: date16); "
+            "write the JSON by hand",
+            file=sys.stderr,
         )
-        spec.save(arguments.output)
-        print(f"wrote {arguments.output}", file=out)
-        return 0
+        return 2
+    from ..package3d.scenarios import date16_sensitivity_spec
 
-    if arguments.sobol_command == "run":
-        spec = CampaignSpec.load(arguments.spec)
-        return _run_command(spec, arguments, out, require_sensitivity=True)
-
-    if arguments.sobol_command == "resume":
-        return _resume_command(arguments, out)
-
-    if arguments.sobol_command == "report":
-        return _report_command(arguments.store, out)
-
-    raise AssertionError(
-        f"unhandled sobol command {arguments.sobol_command!r}"
+    spec = date16_sensitivity_spec(
+        num_base_samples=arguments.samples,
+        seed=arguments.seed,
+        chunk_size=arguments.chunk_size,
+        resolution=arguments.resolution,
+        qoi=arguments.qoi,
+        second_order=arguments.second_order,
+        groups=_parse_groups(arguments.groups),
     )
+    spec.save(arguments.output)
+    print(f"wrote {arguments.output}", file=out)
+    return 0
 
 
 def _parse_groups(text):

@@ -5,41 +5,31 @@ reduction stay in the runner, so every executor produces byte-identical
 campaign results.  Backends are registry-backed
 (:func:`register_backend`); three ship built in:
 
-* ``"serial"`` -- :class:`SerialExecutor`, the in-process loop (also the
-  executor injected into :meth:`repro.uq.monte_carlo.MonteCarloStudy.run`
-  by default-less callers);
-* ``"process"`` (alias ``"parallel"``) -- :class:`ParallelExecutor`, a
-  ``ProcessPoolExecutor`` where every worker builds the model **once**
-  from the picklable model source (a
-  :class:`~repro.campaign.spec.ScenarioSpec` or plain callable) in its
-  initializer.  Building the Date16 scenario constructs the coupled
-  solver in fast mode, so the base LU / Woodbury operators are cached in
-  the worker for its whole lifetime and each sample costs only solves;
-* ``"thread"`` -- a ``ThreadPoolExecutor`` behind the generic
-  :class:`FuturesExecutor` adapter, building one model per worker
-  thread.
+* ``"serial"`` -- :class:`SerialExecutor`, the in-process loop;
+* ``"process"`` -- :class:`ParallelExecutor` over a
+  ``ProcessPoolExecutor``;
+* ``"thread"`` -- :class:`ParallelExecutor` over a
+  ``ThreadPoolExecutor``.
 
-:class:`FuturesExecutor` adapts *any* ``concurrent.futures.Executor``-
-shaped object -- something with ``submit`` returning future-likes --
-so thread pools, Dask clients or MPI pool executors duck-type into the
-campaign engine without a dedicated backend class.  Distributed-cluster
-backends register themselves::
+The two pool backends differ only in the pool class.  The pool's
+initializer builds the model **once per worker** (process or thread)
+from the picklable model source (a
+:class:`~repro.campaign.spec.ScenarioSpec` or plain callable) and keeps
+it in a thread-local slot.  Building the Date16 scenario constructs the
+coupled solver in fast mode, so the base LU / Woodbury operators are
+cached in the worker for its whole lifetime and each sample costs only
+solves.
 
-    from repro.campaign import register_backend, FuturesExecutor
-
-    @register_backend("dask")
-    def _dask_backend(num_workers=None):
-        from dask.distributed import Client
-        return FuturesExecutor(Client(n_workers=num_workers).get_executor())
-
-and become addressable as ``--executor dask`` on the CLI (name the
-registering module in ``ScenarioSpec.module`` so the registration also
-happens when a spec is loaded fresh).
+Other backends (a cluster, an MPI pool) register a factory returning
+an :class:`Executor` subclass that implements ``run_chunks``, and become
+addressable as ``--executor NAME`` on the CLI (name the registering
+module in ``ScenarioSpec.module`` so the registration also happens when
+a spec is loaded fresh).
 
 Model sources
 -------------
 Anything with a ``build_model()`` method (built once per worker, then
-cached) or a plain picklable callable.  Bound methods of solver-holding
+kept) or a plain picklable callable.  Bound methods of solver-holding
 objects are *not* picklable -- that is exactly why the spec layer exists.
 
 Fault tolerance
@@ -49,23 +39,22 @@ Fault tolerance
 evaluation raises is retried up to ``max_retries`` times (exponential
 backoff, deterministic jitter) and finally yielded as a
 :class:`~repro.campaign.faults.ChunkFailure` instead of killing the
-campaign; pool backends additionally survive worker death
-(``BrokenProcessPool``): the pool is rebuilt and every in-flight chunk
+campaign; the pool backends additionally survive a broken pool
+(``BrokenExecutor``: a killed worker process, or a worker whose model
+build raised): the pool is rebuilt and every in-flight chunk
 re-submitted.  Without a policy the historic fail-fast contract holds --
 the first failure propagates -- but always as a context-rich
 :class:`~repro.errors.ChunkEvaluationError` naming the chunk, the
 global sample indices and the worker.
 """
 
-import functools
 import heapq
 import itertools
-import json
 import os
 import threading
 import time
 import traceback as traceback_module
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -168,8 +157,6 @@ def _chunk_outputs(model, chunk):
     num_samples = chunk.parameters.shape[0]
     block = getattr(model, "evaluate_block", None)
     if callable(block):
-        # The backend label rides the block span (the batch-size gauge
-        # name itself is stable; tests and dashboards key on it).
         backend_name = getattr(model, "array_backend", None) or "numpy"
         start = time.perf_counter()
         with telemetry.span("block", samples=num_samples,
@@ -182,11 +169,6 @@ def _chunk_outputs(model, chunk):
                 f"{num_samples} samples"
             )
         telemetry.gauge("campaign.batch_size", num_samples)
-        # Gauges carry no label dimension, so the backend label is a
-        # name-suffixed companion gauge (plus the span attribute above).
-        telemetry.gauge(
-            f"campaign.batch_size.{backend_name}", num_samples
-        )
         telemetry.increment("campaign.blocked_solves", num_samples)
         if num_samples:
             telemetry.observe(
@@ -296,12 +278,12 @@ def _evaluate_chunk_inner(model, chunk):
     )
 
 
-def _drive_chunks(submit, chunks, max_pending, policy, rebuild=None):
-    """The retrying bounded-in-flight submit loop behind pool backends.
+def _drive_chunks(submit, rebuild, chunks, max_pending, policy):
+    """The retrying bounded-in-flight submit loop behind the pool executor.
 
     ``submit(chunk) -> future`` dispatches one chunk on the current
-    pool; ``rebuild()`` (optional) replaces a broken pool so subsequent
-    submits land on fresh workers.  Yields :class:`ChunkResult` per
+    pool; ``rebuild()`` replaces a broken pool so subsequent submits
+    land on fresh workers.  Yields :class:`ChunkResult` per
     completed chunk and -- when a policy is given -- a
     :class:`~repro.campaign.faults.ChunkFailure` per chunk that
     exhausted its retries.  Without a policy the first failure is
@@ -427,8 +409,8 @@ def _drive_chunks(submit, chunks, max_pending, policy, rebuild=None):
         if broken is not None:
             # Every in-flight future is doomed with the pool.  Collect
             # one (chunk, attempt) per chunk -- a chunk may have both an
-            # active and an abandoned attempt in flight -- then either
-            # rebuild and retry, or fail everything outstanding.
+            # active and an abandoned attempt in flight -- then rebuild
+            # and retry.
             casualties = {}
             for chunk, attempt, _, abandoned in in_flight.values():
                 if chunk.chunk_index in resolved:
@@ -437,25 +419,6 @@ def _drive_chunks(submit, chunks, max_pending, policy, rebuild=None):
                 if known is None or not abandoned:
                     casualties[chunk.chunk_index] = (chunk, attempt)
             in_flight.clear()
-            if rebuild is None:
-                # No way to get fresh workers: everything not yet
-                # resolved fails with the pool.
-                for chunk, attempt in queue:
-                    casualties.setdefault(chunk.chunk_index,
-                                          (chunk, attempt))
-                for _, _, chunk, attempt in delayed:
-                    casualties.setdefault(chunk.chunk_index,
-                                          (chunk, attempt))
-                queue.clear()
-                delayed.clear()
-                for chunk, attempt in casualties.values():
-                    resolved.add(chunk.chunk_index)
-                    yield failure_from_error(
-                        chunk, broken, attempt,
-                        message=f"executor pool broke and cannot be "
-                                f"rebuilt: {broken!r}",
-                    )
-                continue
             rebuild()
             for chunk, attempt in casualties.values():
                 failure = retry_or_fail(
@@ -489,16 +452,7 @@ def _drive_chunks(submit, chunks, max_pending, policy, rebuild=None):
 
 
 class Executor:
-    """Interface: ``map`` for flat streams, ``run_chunks`` for campaigns."""
-
-    def map(self, model_source, parameters):
-        """Evaluate every parameter row; outputs in input order.
-
-        Returns an iterable (possibly lazy -- wrap in ``list`` to
-        materialize); the parallel implementation necessarily holds all
-        results, the serial one streams.
-        """
-        raise NotImplementedError
+    """Interface: ``run_chunks`` evaluates a campaign's chunks."""
 
     def run_chunks(self, model_source, chunks, policy=None):
         """Yield a :class:`ChunkResult` per chunk as each completes.
@@ -525,14 +479,6 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def map(self, model_source, parameters):
-        # Resolve eagerly (errors surface at call time), evaluate lazily:
-        # consumers that fold outputs one by one (MonteCarloStudy) keep
-        # O(1) memory and see progress callbacks per sample.
-        model = resolve_model(model_source)
-        parameters = np.asarray(parameters, dtype=float)
-        return (model(parameters[row]) for row in range(parameters.shape[0]))
-
     def run_chunks(self, model_source, chunks, policy=None):
         model = resolve_model(model_source)
         for chunk in chunks:
@@ -558,32 +504,26 @@ class SerialExecutor(Executor):
 
 
 # ----------------------------------------------------------------------
-# Process-pool executor: the model is built once per worker process by
-# the pool initializer and cached in a module global, so task payloads
-# are only (indices, parameters) arrays.
+# Pool executor: the pool initializer builds the model once per worker
+# (process or thread) into a thread-local slot, so task payloads are
+# only the chunks.
 # ----------------------------------------------------------------------
-_WORKER_MODEL = None
+_WORKER = threading.local()
 
 
 def _worker_initialize(model_source):
-    global _WORKER_MODEL
-    _WORKER_MODEL = resolve_model(model_source)
+    _WORKER.model = resolve_model(model_source)
 
 
 def _worker_evaluate_chunk(chunk):
-    if _WORKER_MODEL is None:  # pragma: no cover - initializer always ran
+    model = getattr(_WORKER, "model", None)
+    if model is None:  # pragma: no cover - initializer always ran
         raise CampaignError("worker model was never initialized")
-    return evaluate_chunk(_WORKER_MODEL, chunk)
-
-
-def _worker_evaluate_row(parameters):
-    if _WORKER_MODEL is None:  # pragma: no cover - initializer always ran
-        raise CampaignError("worker model was never initialized")
-    return np.asarray(_WORKER_MODEL(parameters), dtype=float)
+    return evaluate_chunk(model, chunk)
 
 
 class ParallelExecutor(Executor):
-    """Process-pool evaluation with per-worker model/factorization reuse.
+    """Pool evaluation with per-worker model/factorization reuse.
 
     Parameters
     ----------
@@ -591,13 +531,23 @@ class ParallelExecutor(Executor):
         Pool size (default: CPU count, capped at 8 -- field solves are
         memory-bound, more workers rarely help past that).
     max_pending:
-        Chunks in flight at once (bounds memory when campaigns have many
-        more chunks than workers).
+        Chunks in flight at once, at least 1 (default
+        ``2 * num_workers``; bounds memory when campaigns have many more
+        chunks than workers).
+    pool:
+        The ``concurrent.futures`` pool class (or any callable taking
+        ``max_workers``, ``initializer`` and ``initargs``):
+        ``ProcessPoolExecutor`` (the ``"process"`` backend) or
+        ``ThreadPoolExecutor`` (the ``"thread"`` backend).  Either way
+        every worker builds its own model in the pool initializer,
+        which stateful models (the Date16 solver mutates wire lengths
+        per sample) need on threads too.  A worker whose model build
+        raises breaks the pool -- the same ``BrokenExecutor`` path as a
+        killed worker process.
     """
 
-    name = "process"
-
-    def __init__(self, num_workers=None, max_pending=None):
+    def __init__(self, num_workers=None, max_pending=None,
+                 pool=ProcessPoolExecutor):
         if num_workers is None:
             num_workers = min(os.cpu_count() or 1, 8)
         self.num_workers = int(num_workers)
@@ -609,19 +559,19 @@ class ParallelExecutor(Executor):
             int(max_pending) if max_pending is not None
             else 2 * self.num_workers
         )
+        if self.max_pending < 1:
+            raise CampaignError(
+                f"max_pending must be >= 1, got {self.max_pending}"
+            )
+        self.pool = pool
+        self.name = "thread" if pool is ThreadPoolExecutor else "process"
 
     def _pool(self, model_source):
-        return ProcessPoolExecutor(
+        return self.pool(
             max_workers=self.num_workers,
             initializer=_worker_initialize,
             initargs=(model_source,),
         )
-
-    def map(self, model_source, parameters):
-        parameters = np.asarray(parameters, dtype=float)
-        rows = [parameters[row] for row in range(parameters.shape[0])]
-        with self._pool(model_source) as pool:
-            return list(pool.map(_worker_evaluate_row, rows))
 
     def run_chunks(self, model_source, chunks, policy=None):
         chunks = list(chunks)
@@ -640,167 +590,10 @@ class ParallelExecutor(Executor):
             holder["pool"] = self._pool(model_source)
 
         try:
-            yield from _drive_chunks(submit, chunks, self.max_pending,
-                                     policy, rebuild=rebuild)
+            yield from _drive_chunks(submit, rebuild, chunks,
+                                     self.max_pending, policy)
         finally:
             holder["pool"].shutdown(wait=True)
-
-
-#: Per-process cache of models built by futures-adapter tasks, keyed by
-#: the model source's serialized identity.  In a worker process of a
-#: serializing backend this amortizes the model build across the chunks
-#: that land on the worker (the generic adapter has no initializer
-#: hook, so this is the moral equivalent of ``ParallelExecutor``'s
-#: per-worker model global).  Bounded LRU: a long-lived service process
-#: cycling through many distinct specs must not accumulate a solver per
-#: spec forever.
-_FUTURES_MODELS = OrderedDict()
-_FUTURES_MODELS_MAX = 8
-
-
-def _futures_model_key(model_source):
-    """Stable per-process cache key, or ``None`` when uncacheable."""
-    to_dict = getattr(model_source, "to_dict", None)
-    if callable(to_dict):
-        try:
-            return json.dumps(to_dict(), sort_keys=True, default=repr)
-        except (TypeError, ValueError):
-            return None
-    return None
-
-
-def _futures_evaluate_chunk(model_source, chunk):
-    """Module-level task of :class:`FuturesExecutor`: picklable, so it
-    survives process-serializing backends; resolves (and caches) the
-    model on the worker side."""
-    key = _futures_model_key(model_source)
-    if key is None:
-        model = resolve_model(model_source)
-    else:
-        model = _FUTURES_MODELS.get(key)
-        if model is None:
-            model = _FUTURES_MODELS[key] = resolve_model(model_source)
-            while len(_FUTURES_MODELS) > _FUTURES_MODELS_MAX:
-                _FUTURES_MODELS.popitem(last=False)
-        else:
-            _FUTURES_MODELS.move_to_end(key)
-    return evaluate_chunk(model, chunk)
-
-
-class FuturesExecutor(Executor):
-    """Adapter over any ``concurrent.futures.Executor``-shaped object.
-
-    Parameters
-    ----------
-    futures:
-        Either an executor-like instance (anything with
-        ``submit(fn, *args) -> future``; the caller owns its lifecycle)
-        or a zero-argument factory returning one per ``run_chunks`` /
-        ``map`` call (shut down afterwards) -- thread pools, Dask
-        clients' ``get_executor()``, ``mpi4py.futures.MPIPoolExecutor``
-        all duck-type in.  The submitted task is a module-level
-        function over ``(model_source, chunk)``, so it serializes
-        wherever the model source does (specs are plain data by
-        design); workers resolve the model themselves and cache it per
-        process.
-    max_pending:
-        Chunks in flight at once (default ``2 * max_workers`` when the
-        executor advertises ``_max_workers``, else 16).
-    build_per_worker:
-        When ``True``, every worker thread resolves its own model from
-        the model source (via a :class:`threading.local` cache) instead
-        of sharing the per-process cached instance -- required for
-        stateful models (the Date16 solver mutates wire lengths per
-        sample) on thread-based executors.  Leave ``False`` for
-        serializing backends (processes, Dask), which ship independent
-        copies anyway.
-    """
-
-    name = "futures"
-
-    def __init__(self, futures, max_pending=None, build_per_worker=False):
-        if callable(getattr(futures, "submit", None)):
-            self._factory = None
-            self._futures = futures
-        elif callable(futures):
-            self._factory = futures
-            self._futures = None
-        else:
-            raise CampaignError(
-                f"futures must provide submit() or be a factory, got "
-                f"{type(futures).__name__}"
-            )
-        self.max_pending = max_pending
-        self.build_per_worker = bool(build_per_worker)
-
-    def _task(self, model_source):
-        """The per-chunk task callable.
-
-        The default is the picklable module-level function (worker-side
-        per-process model cache); ``build_per_worker`` swaps in a
-        thread-local closure -- closures do not pickle, but thread-based
-        executors never serialize their tasks.
-        """
-        if not self.build_per_worker:
-            return functools.partial(_futures_evaluate_chunk, model_source)
-        local = threading.local()
-
-        def task(chunk):
-            model = getattr(local, "model", None)
-            if model is None:
-                model = local.model = resolve_model(model_source)
-            return evaluate_chunk(model, chunk)
-
-        return task
-
-    def _run(self, task, chunks, policy=None):
-        if self._futures is not None:
-            # Caller-owned executor: no rebuild hook -- a broken pool
-            # fails all outstanding chunks (the driver records them).
-            yield from self._submit_all(self._futures, task, chunks,
-                                        policy, rebuild=None)
-            return
-        holder = {"pool": self._factory()}
-
-        def rebuild():
-            holder["pool"].shutdown(wait=False)
-            holder["pool"] = self._factory()
-
-        try:
-            yield from self._submit_all(holder, task, chunks, policy,
-                                        rebuild=rebuild)
-        finally:
-            holder["pool"].shutdown(wait=True)
-
-    def _submit_all(self, pool, task, chunks, policy=None, rebuild=None):
-        current = (lambda: pool["pool"]) if isinstance(pool, dict) \
-            else (lambda: pool)
-        max_pending = self.max_pending
-        if max_pending is None:
-            max_pending = 2 * getattr(current(), "_max_workers", 8)
-
-        def submit(chunk):
-            return current().submit(task, _stamp_dispatch(chunk))
-
-        yield from _drive_chunks(submit, chunks, max_pending, policy,
-                                 rebuild=rebuild)
-
-    def map(self, model_source, parameters):
-        parameters = np.asarray(parameters, dtype=float)
-        chunks = [
-            WorkChunk(row, [row], parameters[row:row + 1])
-            for row in range(parameters.shape[0])
-        ]
-        task = self._task(model_source)
-        results = {r.chunk_index: r.outputs[0] for r in
-                   self._run(task, chunks)}
-        return [results[row] for row in range(parameters.shape[0])]
-
-    def run_chunks(self, model_source, chunks, policy=None):
-        chunks = list(chunks)
-        if not chunks:
-            return
-        yield from self._run(self._task(model_source), chunks, policy)
 
 
 # ----------------------------------------------------------------------
@@ -845,32 +638,21 @@ def _serial_backend(num_workers=None):
 
 
 @register_backend("process")
-@register_backend("parallel")
 def _process_backend(num_workers=None):
     return ParallelExecutor(num_workers=num_workers)
 
 
 @register_backend("thread")
 def _thread_backend(num_workers=None):
-    if num_workers is None:
-        num_workers = min(os.cpu_count() or 1, 8)
-    if int(num_workers) < 1:
-        raise CampaignError(
-            f"num_workers must be >= 1, got {num_workers}"
-        )
-    executor = FuturesExecutor(
-        lambda: ThreadPoolExecutor(max_workers=int(num_workers)),
-        build_per_worker=True,
-    )
-    executor.name = "thread"
-    return executor
+    return ParallelExecutor(num_workers=num_workers,
+                            pool=ThreadPoolExecutor)
 
 
 def make_executor(kind, num_workers=None):
     """Resolve a backend name (or pass an Executor through) -> Executor.
 
     ``kind`` is ``None`` (the serial default), a registered backend name
-    (``"serial"``, ``"process"``/``"parallel"``, ``"thread"`` or
+    (``"serial"``, ``"process"``, ``"thread"`` or
     anything added via :func:`register_backend`), or a ready
     :class:`Executor` instance -- which is returned as-is and must not
     be combined with ``num_workers``.

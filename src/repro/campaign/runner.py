@@ -315,35 +315,6 @@ def _provenance_record(reducer, executor):
     }
 
 
-def _run_chunks(executor, scenario, chunks, policy):
-    """Dispatch to ``executor.run_chunks``, passing the retry policy
-    only when asked for one.
-
-    ``policy=None`` keeps the historic two-argument call, so
-    user-registered executors written before fault tolerance existed
-    keep working unchanged; requesting retries from such an executor is
-    a pointed error rather than silently-ignored resilience.
-    """
-    if policy is None:
-        return executor.run_chunks(scenario, chunks)
-    try:
-        signature = inspect.signature(executor.run_chunks)
-        supported = "policy" in signature.parameters or any(
-            parameter.kind == parameter.VAR_KEYWORD
-            for parameter in signature.parameters.values()
-        )
-    except (TypeError, ValueError):
-        supported = True
-    if not supported:
-        raise CampaignError(
-            f"executor {getattr(executor, 'name', type(executor).__name__)!r} "
-            "does not accept a retry policy (its run_chunks has no "
-            "'policy' parameter); run without retry= or upgrade the "
-            "executor"
-        )
-    return executor.run_chunks(scenario, chunks, policy=policy)
-
-
 def _pin_array_backend(spec, array_backend):
     """Pin a validated array-backend selection into the scenario options.
 
@@ -677,7 +648,8 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
         chunks = campaign_chunks(spec, pending)
         for chunk in chunks:
             chunk.capture_telemetry = capture
-        for result in _run_chunks(executor, spec.scenario, chunks, policy):
+        for result in executor.run_chunks(spec.scenario, chunks,
+                                          policy=policy):
             chunk_retries += max(0, getattr(result, "attempts", 1) - 1)
             if isinstance(result, ChunkFailure):
                 failure_record = result.record()

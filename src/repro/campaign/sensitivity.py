@@ -27,12 +27,9 @@ Since the Reducer/ExecutorBackend redesign, the reduction itself lives
 in :class:`repro.campaign.reducer.JansenReducer` and the one
 :func:`~repro.campaign.runner.run_campaign` path serves sensitivity
 campaigns too; this module keeps the design layout
-(:class:`SaltelliPlan`), the spec (:class:`SensitivitySpec`), the
-result type (:class:`SensitivityResult`), and thin deprecation shims
-for the historic ``run/resume_sensitivity_campaign`` entry points.
+(:class:`SaltelliPlan`), the spec (:class:`SensitivitySpec`) and the
+result type (:class:`SensitivityResult`).
 """
-
-import warnings
 
 import numpy as np
 
@@ -40,7 +37,6 @@ from ..errors import CampaignError, SamplingError
 from ..uq import sensitivity as uq_sensitivity
 from . import registry
 from .spec import CampaignSpec
-from .store import ArtifactStore
 
 
 class SaltelliPlan:
@@ -567,91 +563,3 @@ class SensitivityResult:
             f"M={self.spec.num_base_samples}, d={self.spec.dimension}, "
             f"ranking={self.ranking(component=self._report_component())})"
         )
-
-
-# ----------------------------------------------------------------------
-# Deprecation shims: the unified runner + JansenReducer replaced the
-# dedicated sensitivity run/resume entry points.
-# ----------------------------------------------------------------------
-_DEPRECATION_EMITTED = set()
-
-
-def _warn_deprecated(name, replacement):
-    """Emit the deprecation warning for ``name`` exactly once per
-    process (re-triggerable in tests via ``_reset_deprecation_warnings``)."""
-    if name in _DEPRECATION_EMITTED:
-        return
-    _DEPRECATION_EMITTED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} -- the unified "
-        "campaign path reproduces it bit for bit",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_deprecation_warnings():
-    """Testing hook: make the once-per-process warnings fire again."""
-    _DEPRECATION_EMITTED.clear()
-
-
-def run_sensitivity_campaign(spec, store=None, executor=None, progress=None,
-                             num_bootstrap=None, confidence=None,
-                             streaming=None):
-    """Deprecated shim over the unified campaign path.
-
-    Equivalent to ``run_campaign(spec, ..., reducer=JansenReducer(spec,
-    num_bootstrap=..., confidence=..., streaming=...))`` and reproduces
-    the historic results bit for bit: the Jansen reduction, the seeded
-    bootstrap intervals and the streaming/in-memory selection logic all
-    moved into :class:`~repro.campaign.reducer.JansenReducer` unchanged.
-    ``num_bootstrap`` / ``confidence`` override the spec's persisted
-    bootstrap settings for this reduction only; ``streaming`` picks the
-    reduction strategy (default: stream exactly when the bootstrap is
-    off).
-    """
-    from .reducer import JansenReducer
-    from .runner import run_campaign
-
-    _warn_deprecated("run_sensitivity_campaign",
-                     "run_campaign (reducer='jansen')")
-    if not isinstance(spec, SensitivitySpec):
-        raise CampaignError(
-            f"expected a SensitivitySpec, got {type(spec).__name__} "
-            "(plain campaigns go through run_campaign)"
-        )
-    reducer = JansenReducer(spec, num_bootstrap=num_bootstrap,
-                            confidence=confidence, streaming=streaming)
-    return run_campaign(spec, store=store, executor=executor,
-                        progress=progress, reducer=reducer)
-
-
-def resume_sensitivity_campaign(store, executor=None, progress=None,
-                                num_bootstrap=None, confidence=None,
-                                streaming=None):
-    """Deprecated shim over the unified resume path.
-
-    Equivalent to :func:`~repro.campaign.runner.resume_campaign` on a
-    sensitivity store (which dispatches on the pinned spec's kind), with
-    the same reduction overrides as :func:`run_sensitivity_campaign`.
-    """
-    from .reducer import JansenReducer
-    from .runner import run_campaign
-
-    _warn_deprecated("resume_sensitivity_campaign", "resume_campaign")
-    if not isinstance(store, ArtifactStore):
-        store = ArtifactStore(store)
-    if not store.exists():
-        raise CampaignError(
-            f"no campaign manifest at {store.path!r}; run 'sobol run' first"
-        )
-    spec = store.load_spec()
-    if not isinstance(spec, SensitivitySpec):
-        raise CampaignError(
-            f"store at {store.path!r} pins a {spec.kind!r} campaign, not "
-            "a sensitivity campaign (use resume_campaign)"
-        )
-    reducer = JansenReducer(spec, num_bootstrap=num_bootstrap,
-                            confidence=confidence, streaming=streaming)
-    return run_campaign(spec, store=store, executor=executor,
-                        progress=progress, reducer=reducer)

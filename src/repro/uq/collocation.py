@@ -156,25 +156,18 @@ class StochasticCollocation:
                 mapped[:, d] = dist.ppf(cdf)
         return mapped
 
-    def run(self, executor=None):
+    def run(self):
         """Evaluate the model on the sparse grid and return statistics.
 
         The variance estimate ``E[f^2] - E[f]^2`` with Smolyak weights can
         come out slightly negative for near-deterministic outputs; it is
         clipped at zero.
-
-        ``executor`` optionally delegates the node evaluations to an
-        :class:`~repro.campaign.executor.Executor` (outputs keep node
-        order, so the quadrature is executor-independent).
         """
         nodes, weights = smolyak_nodes(self.dimension, self.level)
         parameters = self._map_nodes(nodes)
-        if executor is not None:
-            evaluations = executor.map(self.model, parameters)
-        else:
-            evaluations = [
-                self.model(parameters[i]) for i in range(parameters.shape[0])
-            ]
+        evaluations = [
+            self.model(parameters[i]) for i in range(parameters.shape[0])
+        ]
         outputs = np.stack(
             [np.asarray(out, dtype=float) for out in evaluations]
         )

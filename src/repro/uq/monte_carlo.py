@@ -159,7 +159,6 @@ class MonteCarloStudy:
         uniform_points=None,
         keep_samples=False,
         callback=None,
-        executor=None,
         block_size=None,
     ):
         """Run ``num_samples`` model evaluations.
@@ -173,19 +172,12 @@ class MonteCarloStudy:
             Store every raw output (needed for quantiles/histograms).
         callback:
             Optional ``callback(index, parameters, output)`` progress hook.
-        executor:
-            Optional :class:`~repro.campaign.executor.Executor`; when
-            given, the evaluation loop is delegated to it (e.g. a process
-            pool) instead of running inline.  Outputs are folded into the
-            statistics in sample order, so serial and parallel executors
-            produce identical results.
         block_size:
             Evaluate samples in blocks of this size through the model's
             ``evaluate_block`` interface (see :class:`BlockedModel`) --
             the sample-blocked fast path.  The model must expose a
             callable ``evaluate_block``; outputs still fold one by one
             in sample order, so statistics and callbacks are unchanged.
-            Cannot be combined with ``executor``.
         """
         if uniform_points is None:
             uniform_points = random_sampler(num_samples, self.dimension, seed)
@@ -198,14 +190,7 @@ class MonteCarloStudy:
         parameters = map_to_distributions(uniform_points, self.distributions)
         statistics = RunningStatistics()
         stored = [] if keep_samples else None
-        if executor is not None:
-            if block_size is not None:
-                raise SamplingError(
-                    "block_size cannot be combined with an executor; "
-                    "chunked campaigns block inside the executor instead"
-                )
-            outputs = executor.map(self.model, parameters)
-        elif block_size is not None:
+        if block_size is not None:
             outputs = self._blocked_outputs(parameters, block_size)
         else:
             outputs = (

@@ -1087,8 +1087,9 @@ def sobol_indices(model, distributions, dimension, num_base_samples=256,
     :class:`SobolIndices` carries a :class:`SecondOrderIndices` on its
     ``second_order`` attribute (``None`` otherwise).  Scalar outputs
     only -- vector-valued quantities of interest (and parallel or
-    resumable execution) go through the sensitivity campaign
-    (:func:`repro.campaign.sensitivity.run_sensitivity_campaign`), which
+    resumable execution) go through a sensitivity campaign
+    (:func:`repro.campaign.runner.run_campaign` on a
+    :class:`~repro.campaign.sensitivity.SensitivitySpec`), which
     reproduces this function bit for bit for the ``"random"`` sampler
     and the same seed.
     """

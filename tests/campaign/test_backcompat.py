@@ -10,7 +10,6 @@ round-trip byte-identically, so new fields never leak into old formats.
 import json
 import os
 import shutil
-import warnings
 
 import numpy as np
 import pytest
@@ -21,11 +20,8 @@ from repro.campaign import (
     SensitivityResult,
     SensitivitySpec,
     resume_campaign,
-    resume_sensitivity_campaign,
     run_campaign,
-    run_sensitivity_campaign,
 )
-from repro.campaign.sensitivity import _reset_deprecation_warnings
 from repro.telemetry import MetricsRegistry, write_events
 
 from .conftest import make_toy_spec
@@ -201,49 +197,3 @@ class TestLegacyChunkTelemetryLayout:
         merged = MetricsRegistry.from_dict(store.read_telemetry_metrics())
         assert merged.histogram_stats("chunk.wall_s")["count"] == \
             spec.num_chunks
-
-
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self):
-        _reset_deprecation_warnings()
-        yield
-        _reset_deprecation_warnings()
-
-    def test_run_shim_warns_exactly_once(self):
-        spec = CampaignSpec.load(_fixture("pr2_sensitivity_spec.json"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = run_sensitivity_campaign(spec, num_bootstrap=0)
-            second = run_sensitivity_campaign(spec, num_bootstrap=0)
-        deprecations = [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-            and "run_sensitivity_campaign" in str(entry.message)
-        ]
-        assert len(deprecations) == 1
-        assert np.array_equal(first.first_order, second.first_order)
-
-    def test_resume_shim_warns_exactly_once(self, tmp_path):
-        spec = CampaignSpec.load(_fixture("pr2_sensitivity_spec.json"))
-        store = ArtifactStore(tmp_path / "store")
-        run_campaign(spec, store=store)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resume_sensitivity_campaign(store)
-            resume_sensitivity_campaign(store)
-        deprecations = [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-            and "resume_sensitivity_campaign" in str(entry.message)
-        ]
-        assert len(deprecations) == 1
-
-    def test_shims_reproduce_unified_path_bitwise(self):
-        spec = CampaignSpec.load(_fixture("pr2_sensitivity_spec.json"))
-        shim = run_sensitivity_campaign(spec)
-        unified = run_campaign(spec)
-        assert np.array_equal(shim.first_order, unified.first_order)
-        assert np.array_equal(shim.total, unified.total)
-        assert np.array_equal(shim.interval.first_order_upper,
-                              unified.interval.first_order_upper)

@@ -123,7 +123,7 @@ class TestParallelCli:
         assert main(["run", toy_spec_path, "--store", serial_store,
                      "--quiet"]) == 0
         assert main(["run", toy_spec_path, "--store", parallel_store,
-                     "--executor", "parallel", "--workers", "2",
+                     "--executor", "process", "--workers", "2",
                      "--quiet"]) == 0
         capsys.readouterr()
         serial = ArtifactStore(serial_store).read_summary()

@@ -1,13 +1,20 @@
-"""Tests for executor backends, the futures adapter and model resolution."""
+"""Tests for executor backends and model resolution."""
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import os
+import threading
+from concurrent.futures import (
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 
 import numpy as np
 import pytest
 
 from repro.campaign import (
-    FuturesExecutor,
+    ChunkFailure,
     ParallelExecutor,
+    RetryPolicy,
     SerialExecutor,
     WorkChunk,
     make_executor,
@@ -19,11 +26,36 @@ from repro.campaign.runner import campaign_chunks
 from repro.errors import CampaignError
 
 
-
 def _module_model(parameters):
-    """Picklable plain-callable model for executor.map tests."""
+    """Picklable plain-callable model."""
     p = np.asarray(parameters, dtype=float)
     return np.array([p.sum(), p.min()])
+
+
+class _CountingSource:
+    """Picklable model source that logs each build as ``pid:thread``."""
+
+    def __init__(self, scenario, log_path):
+        self.scenario = scenario
+        self.log_path = str(log_path)
+
+    def build_model(self):
+        with open(self.log_path, "a", encoding="utf-8") as handle:
+            handle.write(
+                f"{os.getpid()}:{threading.current_thread().name}\n"
+            )
+        return self.scenario.build_model()
+
+
+class _FailingSource:
+    """Picklable model source whose build always raises."""
+
+    def build_model(self):
+        raise RuntimeError("model build failed")
+
+
+def _outputs_by_chunk(results):
+    return {result.chunk_index: result.outputs for result in results}
 
 
 class TestResolveModel:
@@ -49,12 +81,6 @@ class TestWorkChunk:
 
 
 class TestSerialExecutor:
-    def test_map_preserves_order(self):
-        parameters = np.arange(12.0).reshape(6, 2)
-        outputs = list(SerialExecutor().map(_module_model, parameters))
-        assert len(outputs) == 6
-        assert outputs[3][0] == pytest.approx(6.0 + 7.0)
-
     def test_run_chunks(self, toy_spec):
         chunks = campaign_chunks(toy_spec)
         results = list(
@@ -68,15 +94,50 @@ class TestSerialExecutor:
 
 
 class TestParallelExecutor:
-    def test_map_matches_serial(self):
-        parameters = np.random.default_rng(0).random((8, 3))
-        serial = SerialExecutor().map(_module_model, parameters)
-        parallel = ParallelExecutor(num_workers=2).map(
-            _module_model, parameters
+    @pytest.mark.parametrize("backend", ["process", "thread"])
+    def test_pool_backend_contract(self, backend, toy_spec, tmp_path):
+        """Both pool kinds: bitwise equal to serial, one model build per
+        worker at most, and the same outcome for a failing build."""
+        chunks = campaign_chunks(toy_spec)
+        serial = _outputs_by_chunk(
+            SerialExecutor().run_chunks(toy_spec.scenario, chunks)
         )
-        assert all(
-            np.array_equal(a, b) for a, b in zip(serial, parallel)
+        executor = make_executor(backend, num_workers=2)
+        log = tmp_path / "builds.log"
+        pooled = _outputs_by_chunk(executor.run_chunks(
+            _CountingSource(toy_spec.scenario, log), chunks
+        ))
+        assert serial.keys() == pooled.keys()
+        for index in serial:
+            assert np.array_equal(serial[index], pooled[index])
+        builds = log.read_text(encoding="utf-8").split()
+        assert 1 <= len(builds) <= executor.num_workers
+        assert len(set(builds)) == len(builds)
+
+        with pytest.raises(BrokenExecutor):
+            list(executor.run_chunks(_FailingSource(), chunks))
+        outcomes = list(executor.run_chunks(
+            _FailingSource(), chunks, policy=RetryPolicy(max_retries=1)
+        ))
+        assert all(isinstance(o, ChunkFailure) for o in outcomes)
+        assert sorted(o.chunk_index for o in outcomes) == list(
+            range(toy_spec.num_chunks)
         )
+
+    def test_pool_factory_lifecycle(self, toy_spec):
+        """Any pool factory works; one pool per run, shut down after."""
+        created = []
+
+        def pool(**kwargs):
+            created.append(ThreadPoolExecutor(**kwargs))
+            return created[-1]
+
+        executor = ParallelExecutor(num_workers=2, pool=pool)
+        chunks = campaign_chunks(toy_spec)
+        results = list(executor.run_chunks(toy_spec.scenario, chunks))
+        assert len(results) == toy_spec.num_chunks
+        assert len(created) == 1
+        assert created[0]._shutdown
 
     def test_run_chunks_covers_all_chunks(self, toy_spec):
         chunks = campaign_chunks(toy_spec)
@@ -90,27 +151,33 @@ class TestParallelExecutor:
         )
 
     def test_empty_chunk_list(self, toy_spec):
-        results = list(
-            ParallelExecutor(num_workers=2).run_chunks(toy_spec.scenario, [])
-        )
-        assert results == []
+        for pool in (ProcessPoolExecutor, ThreadPoolExecutor):
+            executor = ParallelExecutor(num_workers=2, pool=pool)
+            assert list(executor.run_chunks(toy_spec.scenario, [])) == []
 
     def test_invalid_worker_count(self):
         with pytest.raises(CampaignError):
             ParallelExecutor(num_workers=0)
+
+    @pytest.mark.parametrize("max_pending", [0, -3])
+    def test_max_pending_below_one_rejected(self, max_pending):
+        """Zero chunks in flight would never submit anything."""
+        with pytest.raises(CampaignError, match="max_pending"):
+            ParallelExecutor(num_workers=1, max_pending=max_pending)
 
 
 class TestMakeExecutor:
     def test_kinds(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor("serial"), SerialExecutor)
-        parallel = make_executor("parallel", num_workers=3)
-        assert isinstance(parallel, ParallelExecutor)
-        assert parallel.num_workers == 3
-        process = make_executor("process", num_workers=2)
+        process = make_executor("process", num_workers=3)
         assert isinstance(process, ParallelExecutor)
+        assert process.num_workers == 3
+        assert process.pool is ProcessPoolExecutor
+        assert process.name == "process"
         thread = make_executor("thread", num_workers=2)
-        assert isinstance(thread, FuturesExecutor)
+        assert isinstance(thread, ParallelExecutor)
+        assert thread.pool is ThreadPoolExecutor
         assert thread.name == "thread"
 
     def test_instance_passes_through(self):
@@ -122,8 +189,9 @@ class TestMakeExecutor:
             make_executor(SerialExecutor(), num_workers=2)
 
     def test_unknown_kind(self):
-        with pytest.raises(CampaignError, match="registered"):
-            make_executor("gpu")
+        for kind in ("gpu", "parallel"):
+            with pytest.raises(CampaignError, match="registered"):
+                make_executor(kind)
 
     def test_serial_with_workers_is_an_error(self):
         """The --workers footgun: silently ignoring the flag is worse
@@ -136,9 +204,10 @@ class TestMakeExecutor:
 
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert {"serial", "process", "parallel", "thread"} <= set(
+        assert {"serial", "process", "thread"} <= set(
             registered_backends()
         )
+        assert "parallel" not in registered_backends()
 
     def test_custom_backend_registrable(self, toy_spec):
         @register_backend("test-backend")
@@ -153,77 +222,6 @@ class TestBackendRegistry:
             from repro.campaign import executor as executor_module
 
             executor_module._BACKENDS.pop("test-backend", None)
-
-
-class TestFuturesExecutor:
-    def test_run_chunks_matches_serial(self, toy_spec):
-        chunks = campaign_chunks(toy_spec)
-        serial = {
-            r.chunk_index: r.outputs
-            for r in SerialExecutor().run_chunks(toy_spec.scenario, chunks)
-        }
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            adapted = {
-                r.chunk_index: r.outputs
-                for r in FuturesExecutor(pool).run_chunks(
-                    toy_spec.scenario, chunks
-                )
-            }
-        assert serial.keys() == adapted.keys()
-        for index in serial:
-            assert np.array_equal(serial[index], adapted[index])
-
-    def test_factory_lifecycle(self, toy_spec):
-        """A zero-arg factory builds one pool per run and shuts it down."""
-        created = []
-
-        def factory():
-            pool = ThreadPoolExecutor(max_workers=2)
-            created.append(pool)
-            return pool
-
-        executor = FuturesExecutor(factory, build_per_worker=True)
-        chunks = campaign_chunks(toy_spec)
-        results = list(executor.run_chunks(toy_spec.scenario, chunks))
-        assert len(results) == toy_spec.num_chunks
-        assert len(created) == 1
-        assert created[0]._shutdown
-
-    def test_map_preserves_order(self):
-        parameters = np.arange(12.0).reshape(6, 2)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            outputs = FuturesExecutor(pool).map(_module_model, parameters)
-        assert len(outputs) == 6
-        assert outputs[3][0] == pytest.approx(6.0 + 7.0)
-
-    def test_process_pool_tasks_serialize(self, toy_spec):
-        """The adapter's task must survive pickling backends: a raw
-        ProcessPoolExecutor (no initializer hook) reproduces serial."""
-        chunks = campaign_chunks(toy_spec)
-        serial = {
-            r.chunk_index: r.outputs
-            for r in SerialExecutor().run_chunks(toy_spec.scenario, chunks)
-        }
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            adapted = {
-                r.chunk_index: r.outputs
-                for r in FuturesExecutor(pool).run_chunks(
-                    toy_spec.scenario, chunks
-                )
-            }
-        assert serial.keys() == adapted.keys()
-        for index in serial:
-            assert np.array_equal(serial[index], adapted[index])
-
-    def test_rejects_non_executor(self):
-        with pytest.raises(CampaignError):
-            FuturesExecutor(42)
-
-    def test_empty_chunk_list(self, toy_spec):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            assert list(
-                FuturesExecutor(pool).run_chunks(toy_spec.scenario, [])
-            ) == []
 
 
 def _block_model(parameters):

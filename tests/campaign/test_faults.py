@@ -25,12 +25,6 @@ from repro.campaign import (
     resume_campaign,
 )
 from repro.campaign.cli import main
-from repro.campaign.executor import (
-    _FUTURES_MODELS,
-    _FUTURES_MODELS_MAX,
-    WorkChunk,
-    _futures_evaluate_chunk,
-)
 from repro.errors import CampaignError
 
 from .flaky_problem import MODULE, PROBLEM_NAME
@@ -434,47 +428,6 @@ class TestChunkTimeout:
         assert result.num_samples == spec.num_samples
         assert np.array_equal(result.mean, reference.mean)
         assert_successful_chunks_identical(store, reference_store)
-
-
-class TestFuturesModelCache:
-    def test_model_cache_is_bounded_lru(self):
-        class Source:
-            def __init__(self, index):
-                self.index = index
-
-            def to_dict(self):
-                return {"kind": "test-lru", "index": self.index}
-
-            def build_model(self):
-                return lambda p: np.asarray(p, dtype=float)
-
-        _FUTURES_MODELS.clear()
-        chunk = WorkChunk(0, [0], np.zeros((1, 2)))
-        for index in range(3 * _FUTURES_MODELS_MAX):
-            _futures_evaluate_chunk(Source(index), chunk)
-        assert len(_FUTURES_MODELS) == _FUTURES_MODELS_MAX
-        # Most-recently-used survive; the oldest were evicted.
-        survivors = {json.loads(key)["index"] for key in _FUTURES_MODELS}
-        assert survivors == set(range(2 * _FUTURES_MODELS_MAX,
-                                      3 * _FUTURES_MODELS_MAX))
-        _FUTURES_MODELS.clear()
-
-
-class TestLegacyExecutorCompatibility:
-    def test_policy_with_two_argument_executor_is_an_error(self):
-        from repro.campaign.executor import SerialExecutor
-
-        class LegacyExecutor(SerialExecutor):
-            def run_chunks(self, model_source, chunks):
-                return super().run_chunks(model_source, chunks)
-
-        spec = make_flaky_spec(num_samples=5, chunk_size=5)
-        # Without a policy the legacy signature keeps working...
-        result = run_campaign(spec, executor=LegacyExecutor())
-        assert result.num_samples == 5
-        # ...but asking it for retries is a pointed error.
-        with pytest.raises(CampaignError, match="retry policy"):
-            run_campaign(spec, executor=LegacyExecutor(), retry=1)
 
 
 class TestCLIFaultInjection:

@@ -3,7 +3,7 @@
 The acceptance matrix of the API redesign: the unified
 ``run_campaign`` + ``JansenReducer`` reproduces the dedicated
 sensitivity path bit for bit across the ``serial`` / ``process`` /
-``futures``-adapter backends and kill/resume at chunk boundaries; the
+``thread`` backends and kill/resume at chunk boundaries; the
 ``pce`` reducer fits the surrogate from checkpointed chunks alone.
 """
 
@@ -16,7 +16,6 @@ import pytest
 from repro.campaign import (
     ArtifactStore,
     CampaignSpec,
-    FuturesExecutor,
     JansenReducer,
     MomentsReducer,
     PCEReducer,
@@ -196,15 +195,15 @@ class TestUnifiedEquivalenceMatrix:
         assert np.array_equal(reference.interval.first_order_upper,
                               result.interval.first_order_upper)
 
-    def test_futures_adapter_instance_matches_serial(self):
-        """A caller-owned concurrent.futures executor ducks in through
-        the generic adapter and reproduces serial bit for bit."""
+    def test_thread_pool_instance_matches_serial(self):
+        """A ready thread-pool executor instance reproduces serial bit
+        for bit."""
         spec = make_toy_sensitivity_spec()
         reference = self._reference(spec)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            result = run_campaign(
-                spec, executor=FuturesExecutor(pool)
-            )
+        result = run_campaign(
+            spec,
+            executor=ParallelExecutor(num_workers=4, pool=ThreadPoolExecutor),
+        )
         assert np.array_equal(reference.first_order, result.first_order)
         assert np.array_equal(reference.interval.total_upper,
                               result.interval.total_upper)

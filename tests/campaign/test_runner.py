@@ -249,33 +249,3 @@ class TestOutOfOrderFold:
             for name in ("mean", "std", "minimum", "maximum"):
                 assert np.array_equal(getattr(permuted, name),
                                       getattr(serial, name))
-
-
-class TestExecutorInjectionIntoUQ:
-    def test_monte_carlo_with_executor_matches_inline(self):
-        from repro.uq.distributions import NormalDistribution
-        from repro.uq.monte_carlo import MonteCarloStudy
-
-        def model(parameters):
-            return np.array([np.sum(parameters ** 2)])
-
-        study = MonteCarloStudy(model, NormalDistribution(0.0, 1.0), 3)
-        inline = study.run(16, seed=5)
-        injected = study.run(16, seed=5, executor=SerialExecutor())
-        assert np.array_equal(inline.mean, injected.mean)
-        assert np.array_equal(inline.std, injected.std)
-
-    def test_collocation_with_executor_matches_inline(self):
-        from repro.uq.collocation import StochasticCollocation
-        from repro.uq.distributions import NormalDistribution
-
-        def model(parameters):
-            return np.array([np.sum(parameters) + np.prod(parameters)])
-
-        collocation = StochasticCollocation(
-            model, NormalDistribution(0.0, 1.0), 3, level=2
-        )
-        inline = collocation.run()
-        injected = collocation.run(executor=SerialExecutor())
-        assert np.array_equal(inline.mean, injected.mean)
-        assert np.array_equal(inline.std, injected.std)

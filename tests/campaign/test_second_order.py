@@ -11,12 +11,13 @@ import pytest
 from repro.campaign import (
     ArtifactStore,
     CampaignSpec,
+    JansenReducer,
     ParallelExecutor,
     SaltelliPlan,
     SensitivitySpec,
     SerialExecutor,
-    resume_sensitivity_campaign,
-    run_sensitivity_campaign,
+    resume_campaign,
+    run_campaign,
 )
 from repro.campaign.executor import evaluate_chunk, resolve_model
 from repro.campaign.runner import campaign_chunks, campaign_parameters
@@ -131,7 +132,9 @@ class TestSpecRoundTrip:
         assert isinstance(loaded, SensitivitySpec)
         assert loaded.to_dict() == legacy
         assert loaded.plan.num_blocks == loaded.dimension + 2
-        result = run_sensitivity_campaign(loaded, num_bootstrap=0)
+        result = run_campaign(
+            loaded, reducer=JansenReducer(loaded, num_bootstrap=0)
+        )
         assert result.second_order is None
         assert result.group_indices is None
 
@@ -190,36 +193,40 @@ class TestSpecRoundTrip:
 class TestStreamingCampaignEquivalence:
     def test_streaming_matches_in_memory_bitwise(self):
         spec = make_extended_spec()
-        in_memory = run_sensitivity_campaign(
+        in_memory = run_campaign(spec, reducer=JansenReducer(
             spec, num_bootstrap=0, streaming=False
-        )
-        streamed = run_sensitivity_campaign(
+        ))
+        streamed = run_campaign(spec, reducer=JansenReducer(
             spec, num_bootstrap=0, streaming=True
-        )
+        ))
         assert streamed.streamed and not in_memory.streamed
         _assert_results_equal(streamed, in_memory)
 
     @pytest.mark.parametrize("chunk_size", (1, 7, 64, None))
     def test_chunk_sizes_bitwise(self, chunk_size):
         """Chunk sizes 1, 7, 64 and M(d+2+p+g) (one chunk) all match."""
-        reference = run_sensitivity_campaign(
-            make_extended_spec(chunk_size=112), num_bootstrap=0
+        one_chunk = make_extended_spec(chunk_size=112)
+        reference = run_campaign(
+            one_chunk, reducer=JansenReducer(one_chunk, num_bootstrap=0)
         )
         spec = make_extended_spec(
             chunk_size=chunk_size if chunk_size else 112
         )
-        result = run_sensitivity_campaign(spec, num_bootstrap=0)
+        result = run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=0)
+        )
         _assert_results_equal(result, reference)
 
     @pytest.mark.parametrize("workers", (1, 4))
     def test_worker_counts_bitwise(self, workers):
         spec = make_extended_spec()
-        serial = run_sensitivity_campaign(
-            spec, executor=SerialExecutor(), num_bootstrap=0
+        serial = run_campaign(
+            spec, executor=SerialExecutor(),
+            reducer=JansenReducer(spec, num_bootstrap=0),
         )
-        parallel = run_sensitivity_campaign(
+        parallel = run_campaign(
             spec, executor=ParallelExecutor(num_workers=workers),
-            num_bootstrap=0,
+            reducer=JansenReducer(spec, num_bootstrap=0),
         )
         _assert_results_equal(parallel, serial)
 
@@ -228,7 +235,9 @@ class TestStreamingCampaignEquivalence:
         reproduces the uninterrupted reduction bit for bit, for every
         k."""
         spec = make_extended_spec()
-        uninterrupted = run_sensitivity_campaign(spec, num_bootstrap=0)
+        uninterrupted = run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=0)
+        )
         model = resolve_model(spec.scenario)
         for completed in range(spec.num_chunks + 1):
             store = ArtifactStore(
@@ -236,9 +245,9 @@ class TestStreamingCampaignEquivalence:
             ).initialize(spec)
             for chunk in campaign_chunks(spec, range(completed)):
                 store.write_chunk(evaluate_chunk(model, chunk))
-            resumed = resume_sensitivity_campaign(
-                store, num_bootstrap=0, streaming=True
-            )
+            resumed = resume_campaign(store, reducer={
+                "kind": "jansen", "num_bootstrap": 0, "streaming": True,
+            })
             expected_remaining = spec.num_samples - min(
                 completed * spec.chunk_size, spec.num_samples
             )
@@ -249,8 +258,9 @@ class TestStreamingCampaignEquivalence:
             self, tmp_path):
         spec = make_extended_spec()
         store = ArtifactStore(tmp_path / "store")
-        result = run_sensitivity_campaign(spec, store=store,
-                                          num_bootstrap=25)
+        result = run_campaign(
+            spec, store=store, reducer=JansenReducer(spec, num_bootstrap=25)
+        )
         interval = result.interval
         assert interval.has_second_order
         assert interval.has_groups
@@ -258,7 +268,9 @@ class TestStreamingCampaignEquivalence:
             result.second_order.interaction.shape
         assert interval.group_total_upper.shape == \
             result.group_indices.total.shape
-        resumed = resume_sensitivity_campaign(store, num_bootstrap=25)
+        resumed = resume_campaign(
+            store, reducer={"kind": "jansen", "num_bootstrap": 25}
+        )
         assert np.array_equal(interval.second_order_lower,
                               resumed.interval.second_order_lower,
                               equal_nan=True)
@@ -269,13 +281,18 @@ class TestStreamingCampaignEquivalence:
     def test_streaming_with_bootstrap_rejected(self):
         spec = make_extended_spec()
         with pytest.raises(CampaignError, match="streaming"):
-            run_sensitivity_campaign(spec, num_bootstrap=10,
-                                     streaming=True)
+            run_campaign(spec, reducer=JansenReducer(
+                spec, num_bootstrap=10, streaming=True
+            ))
 
     def test_default_streams_only_without_bootstrap(self):
         spec = make_extended_spec()
-        assert run_sensitivity_campaign(spec, num_bootstrap=0).streamed
-        assert not run_sensitivity_campaign(spec, num_bootstrap=5).streamed
+        assert run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=0)
+        ).streamed
+        assert not run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=5)
+        ).streamed
 
     @pytest.mark.filterwarnings("error")
     def test_zero_variance_pair_components_flagged_not_warned(self):
@@ -283,7 +300,9 @@ class TestStreamingCampaignEquivalence:
         the full campaign: pair/group indices report NaN for the
         constant component and no division warning escapes."""
         spec = make_extended_spec(qoi="test-constant-pad")
-        result = run_sensitivity_campaign(spec, num_bootstrap=10)
+        result = run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=10)
+        )
         assert np.all(np.isnan(result.second_order.closed[:, 1]))
         assert np.all(np.isnan(result.second_order.interaction[:, 1]))
         assert np.all(np.isnan(result.group_indices.total[:, 1]))
@@ -296,7 +315,9 @@ class TestStreamingCampaignEquivalence:
 class TestExtendedSummaryAndReport:
     def test_summary_carries_extension_tables(self):
         spec = make_extended_spec()
-        result = run_sensitivity_campaign(spec, num_bootstrap=10)
+        result = run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=10)
+        )
         summary = result.summary()
         assert summary["pairs"] == [list(p) for p in all_pairs(4)]
         assert len(summary["second_order"]) == 6
@@ -315,7 +336,9 @@ class TestExtendedSummaryAndReport:
         from repro.reporting.sensitivity import format_sensitivity_summary
 
         spec = make_extended_spec()
-        result = run_sensitivity_campaign(spec, num_bootstrap=10)
+        result = run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=10)
+        )
         text = format_sensitivity_summary(result.summary())
         assert "Pair interactions" in text
         assert "S_ij" in text
@@ -327,8 +350,9 @@ class TestExtendedSummaryAndReport:
                                                  toy_sensitivity_spec):
         from repro.reporting.sensitivity import format_sensitivity_summary
 
-        result = run_sensitivity_campaign(toy_sensitivity_spec,
-                                          num_bootstrap=0)
+        result = run_campaign(toy_sensitivity_spec, reducer=JansenReducer(
+            toy_sensitivity_spec, num_bootstrap=0
+        ))
         text = format_sensitivity_summary(result.summary())
         assert "Pair interactions" not in text
         assert "Factor groups" not in text
@@ -362,14 +386,14 @@ class TestSecondOrderCli:
         spec = make_extended_spec()
         path = str(spec.save(tmp_path / "sens.json"))
         store = str(tmp_path / "store")
-        assert main(["sobol", "run", path, "--store", store,
+        assert main(["run", path, "--store", store,
                      "--streaming", "--quiet"]) == 0
         output = capsys.readouterr().out
         assert "Pair interactions" in output
         assert "Factor groups" in output
         # --streaming implied --bootstrap 0: no CI columns.
         assert "CI" not in output
-        assert main(["sobol", "report", store]) == 0
+        assert main(["report", store]) == 0
         assert capsys.readouterr().out == output
 
     def test_sobol_run_streaming_with_bootstrap_rejected(
@@ -377,7 +401,7 @@ class TestSecondOrderCli:
         from repro.campaign.cli import main
 
         path = str(make_extended_spec().save(tmp_path / "sens.json"))
-        assert main(["sobol", "run", path, "--streaming",
+        assert main(["run", path, "--streaming",
                      "--bootstrap", "10", "--quiet"]) == 1
         assert "streaming" in capsys.readouterr().err
 
@@ -389,7 +413,7 @@ class TestSecondOrderCli:
         model = resolve_model(spec.scenario)
         for chunk in campaign_chunks(spec, [0, 2]):
             store.write_chunk(evaluate_chunk(model, chunk))
-        assert main(["sobol", "resume", store.path, "--streaming",
+        assert main(["resume", store.path, "--streaming",
                      "--quiet"]) == 0
         assert store.completed_chunks() == list(range(spec.num_chunks))
         assert "Pair interactions" in capsys.readouterr().out

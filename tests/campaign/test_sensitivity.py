@@ -6,15 +6,14 @@ import pytest
 from repro.campaign import (
     ArtifactStore,
     CampaignSpec,
+    JansenReducer,
     ParallelExecutor,
     SaltelliPlan,
     SensitivityResult,
     SensitivitySpec,
     SerialExecutor,
     resume_campaign,
-    resume_sensitivity_campaign,
     run_campaign,
-    run_sensitivity_campaign,
 )
 from repro.campaign.executor import evaluate_chunk, resolve_model
 from repro.campaign.runner import (
@@ -150,7 +149,7 @@ class TestSensitivitySpec:
         )
         assert custom.to_dict()["num_bootstrap"] == 37
         store = ArtifactStore(tmp_path / "store")
-        result = run_sensitivity_campaign(custom, store=store)
+        result = run_campaign(custom, store=store)
         assert result.interval.num_replicates == 37
         assert result.interval.confidence == 0.9
         resumed = resume_campaign(store)
@@ -206,7 +205,7 @@ class TestEquivalenceWithInProcess:
             model, spec.build_distribution(), spec.dimension,
             num_base_samples=spec.num_base_samples, seed=spec.seed,
         )
-        result = run_sensitivity_campaign(spec, executor=SerialExecutor())
+        result = run_campaign(spec, executor=SerialExecutor())
         assert np.array_equal(result.first_order, legacy.first_order)
         assert np.array_equal(result.total, legacy.total)
         assert result.variance == legacy.variance
@@ -220,7 +219,7 @@ class TestEquivalenceWithInProcess:
             model, spec.build_distribution(), spec.dimension,
             num_base_samples=spec.num_base_samples, seed=spec.seed,
         )
-        result = run_sensitivity_campaign(
+        result = run_campaign(
             spec, executor=ParallelExecutor(num_workers=4)
         )
         assert np.array_equal(result.first_order, legacy.first_order)
@@ -229,7 +228,7 @@ class TestEquivalenceWithInProcess:
     def test_kill_resume_reproduces_uninterrupted(self, toy_sensitivity_spec,
                                                   tmp_path):
         spec = toy_sensitivity_spec
-        uninterrupted = run_sensitivity_campaign(spec)
+        uninterrupted = run_campaign(spec)
 
         # Simulate a killed run: only some chunks were checkpointed.
         store = ArtifactStore(tmp_path / "store").initialize(spec)
@@ -237,7 +236,7 @@ class TestEquivalenceWithInProcess:
         for chunk in campaign_chunks(spec, [0, 3, 5]):
             store.write_chunk(evaluate_chunk(model, chunk))
 
-        resumed = resume_sensitivity_campaign(
+        resumed = resume_campaign(
             store, executor=ParallelExecutor(num_workers=2)
         )
         assert resumed.num_evaluated < spec.num_samples
@@ -256,8 +255,8 @@ class TestEquivalenceWithInProcess:
     def test_completed_store_re_reduces_without_evaluation(
             self, toy_sensitivity_spec, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        first = run_sensitivity_campaign(toy_sensitivity_spec, store=store)
-        again = resume_sensitivity_campaign(store)
+        first = run_campaign(toy_sensitivity_spec, store=store)
+        again = resume_campaign(store)
         assert again.num_evaluated == 0
         assert np.array_equal(first.first_order, again.first_order)
         assert store.read_summary() == first.summary()
@@ -267,16 +266,18 @@ class TestVectorQoI:
     def test_vector_indices_per_component(self):
         """Identity QoI: 3 output components, each reduced independently."""
         spec = make_toy_sensitivity_spec(qoi="identity")
-        result = run_sensitivity_campaign(spec, num_bootstrap=10)
+        result = run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=10)
+        )
         d = spec.dimension
         assert result.first_order.shape == (d, 3)
         assert result.total.shape == (d, 3)
         assert np.asarray(result.variance).shape == (3,)
         assert result.interval.total_lower.shape == (d, 3)
         # Component 0 is the same scalar the "test-scalar-sum" QoI yields.
-        scalar = run_sensitivity_campaign(
-            make_toy_sensitivity_spec(qoi="test-scalar-sum"),
-            num_bootstrap=0,
+        scalar_spec = make_toy_sensitivity_spec(qoi="test-scalar-sum")
+        scalar = run_campaign(
+            scalar_spec, reducer=JansenReducer(scalar_spec, num_bootstrap=0)
         )
         assert np.array_equal(result.first_order[:, 0],
                               scalar.first_order)
@@ -284,7 +285,9 @@ class TestVectorQoI:
 
     def test_summary_reports_max_variance_component(self):
         spec = make_toy_sensitivity_spec(qoi="identity")
-        result = run_sensitivity_campaign(spec, num_bootstrap=0)
+        result = run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=0)
+        )
         summary = result.summary()
         variance = np.asarray(result.variance)
         assert summary["argmax_output"] == int(np.argmax(variance))
@@ -298,7 +301,9 @@ class TestVectorQoI:
         """A campaign whose QoI carries a constant entry (the t=0 trace
         row case) completes and reports the varying component."""
         spec = make_toy_sensitivity_spec(qoi="test-constant-pad")
-        result = run_sensitivity_campaign(spec, num_bootstrap=10)
+        result = run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=10)
+        )
         assert np.all(np.isnan(result.first_order[:, 1]))
         assert np.all(np.isfinite(result.total[:, 0]))
         summary = result.summary()
@@ -307,7 +312,9 @@ class TestVectorQoI:
 
     def test_ranking_requires_component_for_vector(self):
         spec = make_toy_sensitivity_spec(qoi="identity")
-        result = run_sensitivity_campaign(spec, num_bootstrap=0)
+        result = run_campaign(
+            spec, reducer=JansenReducer(spec, num_bootstrap=0)
+        )
         from repro.errors import SamplingError
 
         with pytest.raises(SamplingError):
@@ -319,26 +326,29 @@ class TestRunnerDispatch:
     def test_run_campaign_serves_sensitivity_spec(self,
                                                   toy_sensitivity_spec):
         """The unified runner dispatches on the spec kind: a sensitivity
-        spec reduces through the default jansen reducer, reproducing the
-        legacy entry point bit for bit."""
+        spec reduces through the default jansen reducer, reproducing an
+        explicit JansenReducer bit for bit."""
         unified = run_campaign(toy_sensitivity_spec)
         assert isinstance(unified, SensitivityResult)
-        legacy = run_sensitivity_campaign(toy_sensitivity_spec)
-        assert np.array_equal(unified.first_order, legacy.first_order)
-        assert np.array_equal(unified.total, legacy.total)
+        explicit = run_campaign(
+            toy_sensitivity_spec,
+            reducer=JansenReducer(toy_sensitivity_spec),
+        )
+        assert np.array_equal(unified.first_order, explicit.first_order)
+        assert np.array_equal(unified.total, explicit.total)
         assert np.array_equal(unified.interval.total_lower,
-                              legacy.interval.total_lower)
+                              explicit.interval.total_lower)
 
     def test_run_sensitivity_refuses_plain_spec(self):
         from .conftest import make_toy_spec
 
-        with pytest.raises(CampaignError):
-            run_sensitivity_campaign(make_toy_spec())
+        with pytest.raises(CampaignError, match="SensitivitySpec"):
+            run_campaign(make_toy_spec(), reducer="jansen")
 
     def test_generic_resume_dispatches_to_sensitivity(
             self, toy_sensitivity_spec, tmp_path):
         store = ArtifactStore(tmp_path / "store")
-        first = run_sensitivity_campaign(toy_sensitivity_spec, store=store)
+        first = run_campaign(toy_sensitivity_spec, store=store)
         resumed = resume_campaign(store)
         assert isinstance(resumed, SensitivityResult)
         assert np.array_equal(first.first_order, resumed.first_order)
@@ -348,8 +358,8 @@ class TestRunnerDispatch:
 
         store = ArtifactStore(tmp_path / "store")
         run_campaign(make_toy_spec(), store=store)
-        with pytest.raises(CampaignError):
-            resume_sensitivity_campaign(store)
+        with pytest.raises(CampaignError, match="SensitivitySpec"):
+            resume_campaign(store, reducer="jansen")
 
 
 class TestSensitivityCli:
@@ -363,11 +373,11 @@ class TestSensitivityCli:
         from repro.campaign.cli import main
 
         store = str(tmp_path / "store")
-        assert main(["sobol", "run", sensitivity_spec_path, "--store",
-                     store, "--quiet"]) == 0
+        assert main(["run", sensitivity_spec_path, "--store", store,
+                     "--quiet"]) == 0
         run_output = capsys.readouterr().out
         assert "Sobol indices" in run_output
-        assert main(["sobol", "report", store]) == 0
+        assert main(["report", store]) == 0
         assert capsys.readouterr().out == run_output
 
     def test_sobol_resume(self, sensitivity_spec_path, tmp_path, capsys):
@@ -379,7 +389,7 @@ class TestSensitivityCli:
         model = resolve_model(spec.scenario)
         for chunk in campaign_chunks(spec, [1]):
             store.write_chunk(evaluate_chunk(model, chunk))
-        assert main(["sobol", "resume", store.path, "--quiet"]) == 0
+        assert main(["resume", store.path, "--quiet"]) == 0
         assert store.completed_chunks() == list(range(spec.num_chunks))
         assert "Sobol indices" in capsys.readouterr().out
 
@@ -389,8 +399,8 @@ class TestSensitivityCli:
         from .conftest import make_toy_spec
 
         path = str(make_toy_spec().save(tmp_path / "plain.json"))
-        assert main(["sobol", "run", path, "--quiet"]) == 1
-        assert "not a sensitivity campaign" in capsys.readouterr().err
+        assert main(["run", path, "--reducer", "jansen", "--quiet"]) == 1
+        assert "SensitivitySpec" in capsys.readouterr().err
 
     def test_generic_run_routes_sensitivity_spec(self, sensitivity_spec_path,
                                                  capsys):

@@ -159,15 +159,6 @@ class TestBlockedEvaluation:
         with pytest.raises(SamplingError, match="block_size"):
             study.run(4, seed=0, block_size=0)
 
-    def test_block_size_rejected_with_executor(self):
-        from repro.campaign.executor import SerialExecutor
-        from repro.uq.monte_carlo import BlockedModel
-
-        model = BlockedModel(_linear_model, _linear_block)
-        study = MonteCarloStudy(model, UniformDistribution(0, 1), 1)
-        with pytest.raises(SamplingError, match="executor"):
-            study.run(4, seed=0, block_size=2, executor=SerialExecutor())
-
     def test_wrong_output_count_rejected(self):
         from repro.uq.monte_carlo import BlockedModel
 
