@@ -151,9 +151,12 @@ class TestParallelExecutor:
         )
 
     def test_empty_chunk_list(self, toy_spec):
-        for pool in (ProcessPoolExecutor, ThreadPoolExecutor):
-            executor = ParallelExecutor(num_workers=2, pool=pool)
-            assert list(executor.run_chunks(toy_spec.scenario, [])) == []
+        executor = ParallelExecutor(num_workers=2)
+        assert list(executor.run_chunks(toy_spec.scenario, [])) == []
+
+    def test_empty_chunk_list_thread_pool(self, toy_spec):
+        executor = ParallelExecutor(num_workers=2, pool=ThreadPoolExecutor)
+        assert list(executor.run_chunks(toy_spec.scenario, [])) == []
 
     def test_invalid_worker_count(self):
         with pytest.raises(CampaignError):
