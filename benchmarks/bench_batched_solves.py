@@ -18,17 +18,11 @@ Cold = first evaluation against an empty factorization cache; warm = a
 second evaluation of the same study (base LUs cached, pure hot-loop
 cost).  The acceptance gate asserts the blocked path >= 2x the loop's
 warm wall-clock, and that the blocked traces match the loop to 1e-10
-relative on every backend.
-
-``--backend <name>`` runs the blocked configuration on a registered
-array backend (``numpy``, ``devicesim``) while the per-sample
-loop stays on the default backend; the ``BENCH_batched_solves.json``
-artifact records the backend name plus its cold/warm device-transfer
-counts.
+relative.
 
 Run standalone (``--smoke`` shrinks mesh and horizon for CI)::
 
-    python benchmarks/bench_batched_solves.py [--smoke] [--backend NAME]
+    python benchmarks/bench_batched_solves.py [--smoke]
 
     REPRO_BATCHED_REPEATS      timing repeats per config (default 3)
     REPRO_BATCHED_MIN_SPEEDUP  warm-cache gate (default 2.0; noisy
@@ -52,7 +46,7 @@ _SEED = 0
 _RTOL = 1.0e-10
 
 
-def _build_study(resolution, parameters, backend=None):
+def _build_study(resolution, parameters):
     from repro.package3d.uq_study import Date16UncertaintyStudy
     from repro.solvers.cache import FactorizationCache
 
@@ -60,7 +54,6 @@ def _build_study(resolution, parameters, backend=None):
         resolution=resolution,
         parameters=parameters,
         factorization_cache=FactorizationCache(max_entries=16),
-        array_backend=backend,
     )
 
 
@@ -76,16 +69,12 @@ def _sample_chunk(study, num_samples):
     ])
 
 
-def _time_configurations(resolution, parameters, num_samples, repeats,
-                         backend):
+def _time_configurations(resolution, parameters, num_samples, repeats):
     """Best-of-``repeats`` cold/warm seconds per configuration.
 
     Rounds are interleaved across configurations (so load drift on a
     shared machine hits every configuration alike) and aggregated with
-    ``min`` -- scheduling noise only ever adds time.  The blocked
-    configuration runs on ``backend``; the per-sample loop always runs
-    the default backend, so the deviation column measures the selected
-    backend against it.
+    ``min`` -- scheduling noise only ever adds time.
     """
     results = {
         name: {"name": name, "cold": [], "warm": []}
@@ -105,21 +94,13 @@ def _time_configurations(resolution, parameters, num_samples, repeats,
         results["per-sample"]["warm"].append(time.perf_counter() - start)
         results["per-sample"]["traces"] = loop_traces
 
-        study = _build_study(resolution, parameters, backend=backend)
-        transfers = backend.transfer_count
+        study = _build_study(resolution, parameters)
         start = time.perf_counter()
         block_traces = study.evaluate_traces_block(deltas)
         results["blocked"]["cold"].append(time.perf_counter() - start)
-        results["blocked"]["transfers_cold"] = (
-            backend.transfer_count - transfers
-        )
-        transfers = backend.transfer_count
         start = time.perf_counter()
         study.evaluate_traces_block(deltas)
         results["blocked"]["warm"].append(time.perf_counter() - start)
-        results["blocked"]["transfers_warm"] = (
-            backend.transfer_count - transfers
-        )
         results["blocked"]["traces"] = block_traces
 
     for entry in results.values():
@@ -129,26 +110,19 @@ def _time_configurations(resolution, parameters, num_samples, repeats,
 
 
 def run_comparison(resolution="coarse", parameters=None, num_samples=64,
-                   repeats=3, min_speedup=None, backend=None,
-                   out=sys.stdout):
+                   repeats=3, min_speedup=None, out=sys.stdout):
     """Blocked vs per-sample on one chunk; returns the result record.
 
     ``min_speedup`` (full runs) asserts the blocked warm speedup;
     ``None`` (smoke) only checks the equivalence and structure.
-    ``backend`` selects the array backend for the blocked run (name or
-    instance; default resolution rules apply).  Returns a dict with the
-    artifact ``table``, the resolved ``array_backend`` name, and the
-    blocked path's cold/warm device-``transfers``.
+    Returns a dict with the artifact ``table`` and the ``timings``.
     """
-    from repro.backends import get_array_backend
     from repro.reporting.tables import format_table
 
-    backend = get_array_backend(backend)
     print(f"timing 2 configurations x {repeats} interleaved rounds "
-          f"({num_samples}-sample chunk, blocked on '{backend.name}') ...",
-          file=out, flush=True)
+          f"({num_samples}-sample chunk) ...", file=out, flush=True)
     results = _time_configurations(
-        resolution, parameters, num_samples, repeats, backend
+        resolution, parameters, num_samples, repeats
     )
 
     loop = results["per-sample"]
@@ -169,13 +143,12 @@ def run_comparison(resolution="coarse", parameters=None, num_samples=64,
          "warm speedup", "amortized [ms/sample]", "max |dT| [K]"),
         rows,
         title=f"BATCHED SOLVES ({resolution} mesh, "
-              f"S={num_samples}, backend={backend.name}, "
-              f"best of {repeats})",
+              f"S={num_samples}, best of {repeats})",
     )
     print("\n" + table, file=out)
 
     # Equivalence gate: the blocked chunk reproduces the loop to
-    # rounding on every backend.
+    # rounding.
     blocked = results["blocked"]
     scale = float(np.max(np.abs(loop["traces"])))
     deviation = float(np.max(np.abs(blocked["traces"] - loop["traces"])))
@@ -193,11 +166,6 @@ def run_comparison(resolution="coarse", parameters=None, num_samples=64,
               f"(gate: >= {min_speedup:.2f}x)", file=out)
     return {
         "table": table,
-        "array_backend": backend.name,
-        "transfers": {
-            "cold": int(blocked["transfers_cold"]),
-            "warm": int(blocked["transfers_warm"]),
-        },
         "timings": {
             "per_sample_cold": loop["cold"],
             "per_sample_warm": loop["warm"],
@@ -221,12 +189,6 @@ def main(argv=None):
         help="tiny mesh + short horizon, equivalence checks only "
              "(the CI rot gate; no wall-clock assertion)",
     )
-    parser.add_argument(
-        "--backend", default=None,
-        help="array backend for the blocked configuration (a registered "
-             "name: numpy, devicesim); default resolution rules "
-             "apply when omitted",
-    )
     arguments = parser.parse_args(argv)
 
     if arguments.smoke:
@@ -236,7 +198,6 @@ def main(argv=None):
             num_samples=8,
             repeats=1,
             min_speedup=None,
-            backend=arguments.backend,
         )
     else:
         result = run_comparison(
@@ -246,7 +207,6 @@ def main(argv=None):
             min_speedup=float(
                 os.environ.get("REPRO_BATCHED_MIN_SPEEDUP", "2.0")
             ),
-            backend=arguments.backend,
         )
         try:
             from .conftest import write_artifact, write_bench_json
@@ -254,13 +214,7 @@ def main(argv=None):
             from conftest import write_artifact, write_bench_json
         path = write_artifact("batched_solves.txt", result["table"])
         json_path = write_bench_json(
-            "batched_solves",
-            timings=result["timings"],
-            counters={
-                "device_transfers_cold": result["transfers"]["cold"],
-                "device_transfers_warm": result["transfers"]["warm"],
-            },
-            array_backend=result["array_backend"],
+            "batched_solves", timings=result["timings"]
         )
         print(f"\n[artifact] {path}")
         print(f"[artifact] {json_path}")
@@ -286,11 +240,6 @@ def test_batched_solves_benchmark(benchmark):
     write_bench_json(
         "batched_solves",
         timings={**bench_timings(benchmark), **result["timings"]},
-        counters={
-            "device_transfers_cold": result["transfers"]["cold"],
-            "device_transfers_warm": result["transfers"]["warm"],
-        },
-        array_backend=result["array_backend"],
     )
     print(f"\n[artifact] {path}")
 

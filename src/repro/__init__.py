@@ -26,11 +26,6 @@ from .bondwire import (
     WireLengthModel,
     assess_failure,
 )
-from .backends import (
-    get_array_backend,
-    register_array_backend,
-    registered_array_backends,
-)
 from .bondwire.degradation import ArrheniusDegradationModel, CycleCountingModel
 from .constants import (
     EMISSIVITY_DEFAULT,
@@ -144,10 +139,6 @@ __all__ = [
     "ParallelExecutor",
     "register_backend",
     "register_reducer",
-    # array backends
-    "get_array_backend",
-    "register_array_backend",
-    "registered_array_backends",
     "ArtifactStore",
     "CampaignResult",
     "SurrogateResult",

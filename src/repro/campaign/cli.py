@@ -148,13 +148,6 @@ def _add_executor_arguments(parser):
              "re-submitted (pool backends only; implies --max-retries 0 "
              "when given alone)",
     )
-    parser.add_argument(
-        "--array-backend", default=None, metavar="NAME",
-        help="array backend the workers' solvers run on (numpy | "
-             "devicesim; default: the spec's pinned backend, else "
-             "numpy); validated up front "
-             "and pinned into the store manifest",
-    )
 
 
 def _add_reducer_arguments(parser):
@@ -239,10 +232,6 @@ def _build_parser():
                       metavar="K",
                       help="local-error tolerance per adaptive step "
                            "(with --time-stepping adaptive; default 1.0)")
-    spec.add_argument("--array-backend", default=None, metavar="NAME",
-                      help="pin an array backend into the spec (numpy | "
-                           "devicesim; default: unpinned, workers use "
-                           "the numpy reference)")
     spec.add_argument("--quantize-dt", action=argparse.BooleanOptionalAction,
                       default=None,
                       help="snap adaptive steps onto the geometric dt "
@@ -339,10 +328,6 @@ def _build_parser():
                         help="executor backend for this job")
     submit.add_argument("--workers", type=int, default=None,
                         help="worker count for this job's backend")
-    submit.add_argument("--array-backend", default=None, metavar="NAME",
-                        help="array backend job option (numpy | "
-                             "devicesim); validated service-side before "
-                             "the job's workers spawn")
     submit.add_argument("--max-retries", type=int, default=None,
                         metavar="N",
                         help="per-chunk retry budget for this job")
@@ -530,7 +515,6 @@ def _run_command(spec, arguments, out):
         spec, store=store, executor=executor, progress=progress,
         reducer=reducer, telemetry=getattr(arguments, "telemetry", None),
         retry=_retry_policy_from_arguments(arguments),
-        array_backend=getattr(arguments, "array_backend", None),
     )
     _print_result(result, store, out)
     return 0
@@ -553,7 +537,6 @@ def _resume_command(arguments, out):
         reducer=reducer, telemetry=getattr(arguments, "telemetry", None),
         retry=_retry_policy_from_arguments(arguments),
         retry_quarantined=getattr(arguments, "retry_quarantined", True),
-        array_backend=getattr(arguments, "array_backend", None),
     )
     _print_result(result, store, out)
     return 0
@@ -651,8 +634,6 @@ def _submit_command(arguments, out):
         options["workers"] = arguments.workers
     if arguments.max_retries is not None:
         options["retry"] = arguments.max_retries
-    if arguments.array_backend is not None:
-        options["array_backend"] = arguments.array_backend
     job = submit_job(
         arguments.url, spec, tenant=arguments.tenant,
         options=options or None,
@@ -810,7 +791,6 @@ def _dispatch(arguments):
             adaptive_tolerance=arguments.adaptive_tolerance,
             quantize_dt=arguments.quantize_dt,
             reducer=reducer,
-            array_backend=arguments.array_backend,
         )
         spec.save(arguments.output)
         print(f"wrote {arguments.output}", file=out)

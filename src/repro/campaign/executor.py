@@ -157,10 +157,8 @@ def _chunk_outputs(model, chunk):
     num_samples = chunk.parameters.shape[0]
     block = getattr(model, "evaluate_block", None)
     if callable(block):
-        backend_name = getattr(model, "array_backend", None) or "numpy"
         start = time.perf_counter()
-        with telemetry.span("block", samples=num_samples,
-                            array_backend=backend_name):
+        with telemetry.span("block", samples=num_samples):
             outputs = np.asarray(block(chunk.parameters), dtype=float)
         wall_s = time.perf_counter() - start
         if outputs.shape[0] != num_samples:

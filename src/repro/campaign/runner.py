@@ -26,7 +26,6 @@ The runner is deliberately executor-agnostic and deterministic:
   round-trips float64 exactly.
 """
 
-import copy
 import inspect
 import time
 
@@ -315,31 +314,9 @@ def _provenance_record(reducer, executor):
     }
 
 
-def _pin_array_backend(spec, array_backend):
-    """Pin a validated array-backend selection into the scenario options.
-
-    Resolving the backend here -- in the submitting process, before any
-    worker spawns -- turns a typo into an immediate, clearly attributed
-    error.
-    The name is written into ``spec.scenario.options`` (on a copy; the
-    caller's spec is never mutated), so it is serialized to workers and
-    pinned in the store manifest: resuming under a *different* backend
-    is refused by the store's spec-identity check, which is correct --
-    the backend is part of the numerical contract of the results.
-    """
-    from ..backends import get_array_backend
-
-    name = get_array_backend(array_backend).name
-    if spec.scenario.options.get("array_backend") == name:
-        return spec
-    spec = copy.deepcopy(spec)
-    spec.scenario.options["array_backend"] = name
-    return spec
-
-
 def run_campaign(spec, store=None, executor=None, progress=None,
                  reducer=None, telemetry=None, retry=None,
-                 retry_quarantined=True, array_backend=None):
+                 retry_quarantined=True):
     """Run (or finish) a campaign of any kind and return its result.
 
     The one execution/reduction path of the campaign engine: evaluates
@@ -405,14 +382,6 @@ def run_campaign(spec, store=None, executor=None, progress=None,
         Whether chunks quarantined by a *previous* run of this store
         are re-evaluated (default) or left quarantined and folded
         around.  Only meaningful on the resume path.
-    array_backend:
-        Optional :mod:`repro.backends` name for the workers' solver
-        substrate (CLI ``--array-backend``).  Validated here -- before
-        any worker spawns -- and pinned into the scenario options (on a
-        copy of the spec), so the selection rides the normal spec
-        serialization to workers and into the store manifest.  ``None``
-        leaves the spec untouched (scenario options may still name a
-        backend; the process default is ``numpy``).
 
     With a store, the runner first takes the store's exclusive lock
     (``lock.json``) and heartbeats it per completed chunk, so a second
@@ -424,8 +393,6 @@ def run_campaign(spec, store=None, executor=None, progress=None,
         raise CampaignError(
             f"expected a CampaignSpec, got {type(spec).__name__}"
         )
-    if array_backend is not None:
-        spec = _pin_array_backend(spec, array_backend)
     if store is not None and not isinstance(store, ArtifactStore):
         store = ArtifactStore(store)
     if store is None:
@@ -768,8 +735,7 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
 
 
 def resume_campaign(store, executor=None, progress=None, reducer=None,
-                    telemetry=None, retry=None, retry_quarantined=True,
-                    array_backend=None):
+                    telemetry=None, retry=None, retry_quarantined=True):
     """Finish the campaign pinned in an existing store.
 
     Reads the spec from the manifest, evaluates only the missing chunks
@@ -787,12 +753,6 @@ def resume_campaign(store, executor=None, progress=None, reducer=None,
     ``retry_quarantined=False`` to leave them quarantined and reduce
     around them.  ``retry`` takes the same policy values as
     :func:`run_campaign`.
-
-    ``array_backend`` may re-state the backend the store was produced
-    under (a no-op); naming a *different* one is refused by the store's
-    spec-identity check -- checkpointed chunks carry the numerical
-    contract of the backend that wrote them, so finishing a campaign on
-    another substrate would silently mix rounding from two backends.
     """
     if not isinstance(store, ArtifactStore):
         store = ArtifactStore(store)
@@ -804,5 +764,5 @@ def resume_campaign(store, executor=None, progress=None, reducer=None,
     return run_campaign(
         spec, store=store, executor=executor, progress=progress,
         reducer=reducer, telemetry=telemetry, retry=retry,
-        retry_quarantined=retry_quarantined, array_backend=array_backend,
+        retry_quarantined=retry_quarantined,
     )

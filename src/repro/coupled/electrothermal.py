@@ -37,7 +37,6 @@ from collections import OrderedDict, deque
 import numpy as np
 import scipy.sparse as sp
 
-from ..backends import get_array_backend
 from ..errors import AssemblyError, ConvergenceError, SolverError
 from ..fit.assembly import FITDiscretization
 from ..fit.boundary import apply_dirichlet, combine_dirichlet
@@ -81,12 +80,6 @@ class CoupledSolver:
         attempt, so the map must hold at least the handful of distinct
         step sizes in flight (a quantized-dt ladder fits comfortably in
         the default 8); the least recently used solver is evicted first.
-    array_backend:
-        :class:`~repro.backends.ArrayBackend` (or registered name) the
-        fast-mode Woodbury solvers resolve their linear algebra
-        through; ``None`` picks the process default (``numpy``).  Only
-        the fast-mode Woodbury solves cross the device boundary --
-        assembly and the full-mode path stay on the host regardless.
     """
 
     def __init__(
@@ -97,7 +90,6 @@ class CoupledSolver:
         max_iterations=40,
         factorization_cache=None,
         max_thermal_solvers=8,
-        array_backend=None,
     ):
         if mode not in _MODES:
             raise SolverError(f"unknown mode {mode!r}; expected one of {_MODES}")
@@ -106,7 +98,6 @@ class CoupledSolver:
         self.tolerance = float(tolerance)
         self.max_iterations = int(max_iterations)
         self.factorization_cache = factorization_cache
-        self.array_backend = get_array_backend(array_backend)
 
         self.discretization = FITDiscretization(problem.grid, problem.materials)
         self.topology = problem.topology
@@ -305,7 +296,7 @@ class CoupledSolver:
         self._fast_el = WoodburySolver(
             a_el, u_full[self.el_free],
             self.topology.segment_electrical_conductances(initial),
-            cache=self.factorization_cache, backend=self.array_backend,
+            cache=self.factorization_cache,
         )
 
         k_th = embed_grid_matrix(
@@ -395,8 +386,7 @@ class CoupledSolver:
             + sp.diags(self.conv_diag + self._rad_linear)
         ).tocsc()
         solver = WoodburySolver(base, self._fast_u, self._fast_g_th0,
-                                cache=self.factorization_cache,
-                                backend=self.array_backend)
+                                cache=self.factorization_cache)
         step = _ThermalStep(self, solver)
         self.metrics.increment("thermal_solver_builds")
         telemetry.increment("solver.thermal_builds")
@@ -513,11 +503,9 @@ class CoupledSolver:
         ``_fast_phi_basis @ z``.
         """
         el = self._fast_el
-        backend = el.backend
-        coefficients = backend.from_device(el.coefficients(
-            g_el.T,
-            backend.to_device(self._el_scale * self._fast_el_projected),
-        ))
+        coefficients = el.coefficients(
+            g_el.T, self._el_scale * self._fast_el_projected
+        )
         z = np.empty((el.rank + 1, g_el.shape[1]))
         z[0] = self._el_scale
         z[1:] = coefficients.T
@@ -744,7 +732,6 @@ class CoupledSolver:
         of sample-iterations taken.
         """
         thermal = step.solver
-        backend = thermal.backend
         projected_rhs = _basis_product(step.port_green, rhs)
         rows, cols = np.triu_indices(self._fast_el.rank + 1)
         port_t = port_t.copy()
@@ -761,12 +748,9 @@ class CoupledSolver:
                 + _basis_product(step.field_green, z[rows] * z[cols])
                 + _basis_product(step.wire_green, g_el * drop * drop)
             )
-            coefficients = backend.from_device(thermal.coefficients(
-                g_th.T,
-                backend.to_device(
-                    (x0[self._port_start] - x0[self._port_end]).T
-                ),
-            ))
+            coefficients = thermal.coefficients(
+                g_th.T, (x0[self._port_start] - x0[self._port_end]).T
+            )
             new_ports = x0 - _basis_product(
                 step.port_inverse_u, coefficients.T
             )
@@ -1030,10 +1014,9 @@ class _ThermalStep:
         through the Woodbury coefficients.
         """
         solver = self.solver
-        backend = solver.backend
-        coefficients = backend.from_device(solver.coefficients(
-            conductances.T, backend.to_device(self.radiation_projected)
-        ))
+        coefficients = solver.coefficients(
+            conductances.T, self.radiation_projected
+        )
         gain = _basis_product(solver.base_inverse_u, coefficients.T)
         np.subtract(self.radiation_green[:, None], gain, out=gain)
         return np.max(gain, axis=0)

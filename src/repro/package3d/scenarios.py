@@ -38,15 +38,26 @@ from .uq_study import Date16UncertaintyStudy
 #: ``adaptive_options`` dict forwards the remaining controller knobs
 #: (``initial_dt``, ``min_dt``, ``max_dt``, ``safety``,
 #: ``accept_min_dt_steps``).
-#: ``array_backend`` names the :mod:`repro.backends` substrate the
-#: worker's blocked solvers run on (default ``numpy``); it is part of
-#: the serialized scenario, so a resumed campaign is pinned to the
-#: backend that produced its checkpoints.
 _STUDY_OPTIONS = (
     "resolution", "mode", "num_segments", "truncate_elongation", "tolerance",
     "time_stepping", "adaptive_tolerance", "quantize_dt", "adaptive_options",
-    "array_backend",
 )
+
+
+def _drop_removed_array_backend(options):
+    """Accept the ``array_backend`` option of older specs and stores.
+
+    Scenarios once pinned the solvers' array backend; numpy is the only
+    linear-algebra path now, so a pinned ``"numpy"`` is dropped and any
+    other pin is refused rather than silently run on numpy.
+    """
+    backend = options.pop("array_backend", "numpy")
+    if backend != "numpy":
+        raise CampaignError(
+            f"date16 scenario pins array backend {backend!r}, but array "
+            f"backends were removed: the solvers run on numpy only; drop "
+            f"the option or set it to 'numpy'"
+        )
 
 
 def build_date16_model(scenario):
@@ -60,6 +71,7 @@ def build_date16_model(scenario):
     """
     options = dict(scenario.options)
     overrides = options.pop("parameters", None) or {}
+    _drop_removed_array_backend(options)
     unknown = set(options) - set(_STUDY_OPTIONS)
     if unknown:
         raise CampaignError(
@@ -137,7 +149,6 @@ def date16_campaign_spec(
     quantize_dt=None,
     adaptive_options=None,
     reducer=None,
-    array_backend=None,
 ):
     """A ready-to-run :class:`~repro.campaign.spec.CampaignSpec`.
 
@@ -150,8 +161,7 @@ def date16_campaign_spec(
     ``quantize_dt=False`` opts back into the raw controller, and
     ``adaptive_tolerance`` / ``adaptive_options`` tune it); ``reducer``
     pins a reduction into the spec (e.g. ``{"kind": "pce", "degree":
-    3}`` for the surrogate mode); ``array_backend`` pins the workers'
-    solver substrate (see :mod:`repro.backends`).
+    3}`` for the surrogate mode).
     """
     from ..campaign.spec import CampaignSpec, ScenarioSpec
 
@@ -165,8 +175,6 @@ def date16_campaign_spec(
         options["quantize_dt"] = bool(quantize_dt)
     if adaptive_options is not None:
         options["adaptive_options"] = dict(adaptive_options)
-    if array_backend is not None:
-        options["array_backend"] = str(array_backend)
     if parameters is not None:
         options["parameters"] = date16_parameter_overrides(p)
     scenario = ScenarioSpec(

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..bondwire.failure import first_crossing_time
 from ..coupled.electrothermal import BlockedCoupledSolver, CoupledSolver
-from ..backends import get_array_backend
 from ..errors import SamplingError
 from ..solvers.time_integration import TimeGrid
 from ..uq.collocation import StochasticCollocation
@@ -184,12 +183,6 @@ class Date16UncertaintyStudy:
         divided-difference LTE estimate and a warm-started fixed point;
         ``"doubling"`` restores the three-solves-per-step doubling
         estimate).
-    array_backend:
-        Array backend name (or instance) for the fast-path solvers --
-        see :mod:`repro.backends`.  ``None`` picks the process default
-        (``numpy``); the
-        campaign layer threads a scenario's ``options["array_backend"]``
-        through here.
     """
 
     #: ``adaptive_options`` keys forwarded to
@@ -213,7 +206,6 @@ class Date16UncertaintyStudy:
         adaptive_tolerance=1.0,
         quantize_dt=True,
         adaptive_options=None,
-        array_backend=None,
     ):
         self.parameters = parameters if parameters is not None else Date16Parameters()
         problem, mesh = build_date16_problem(
@@ -224,11 +216,9 @@ class Date16UncertaintyStudy:
         self.problem = problem
         self.mesh = mesh
         self.waveform = waveform
-        self.array_backend = get_array_backend(array_backend)
         self.solver = CoupledSolver(
             problem, mode=mode, tolerance=tolerance,
             factorization_cache=factorization_cache,
-            array_backend=self.array_backend,
         )
         self.time_grid = TimeGrid.from_num_points(
             self.parameters.end_time, self.parameters.num_time_points
@@ -415,8 +405,7 @@ class Date16UncertaintyStudy:
         """
         if self.supports_block_evaluation:
             return BlockedModel(
-                self.evaluate_traces, self.evaluate_traces_block,
-                array_backend=self.array_backend.name,
+                self.evaluate_traces, self.evaluate_traces_block
             )
         return self.evaluate_traces
 

@@ -33,7 +33,23 @@ from .status import store_status
 
 #: Job-option keys a submission may set (runner keyword overrides).
 JOB_OPTIONS = ("executor", "workers", "retry", "retry_quarantined",
-               "telemetry", "array_backend")
+               "telemetry")
+
+
+def _drop_removed_array_backend(options):
+    """Accept the ``array_backend`` job option of older queue records.
+
+    Jobs once picked the solvers' array backend; numpy is the only
+    linear-algebra path now, so a queued ``"numpy"`` is dropped and any
+    other value fails the job rather than silently running on numpy.
+    """
+    backend = options.pop("array_backend", None)
+    if backend not in (None, "numpy"):
+        raise ServiceError(
+            f"job option array_backend={backend!r} is no longer "
+            f"supported: array backends were removed and the solvers "
+            f"run on numpy only"
+        )
 
 
 class JobManager:
@@ -48,12 +64,9 @@ class JobManager:
         Concurrent job budget (default 2): how many campaigns run at
         once.  Each job's own executor parallelism multiplies on top,
         so the total worker budget is ``max_workers x workers``.
-    executor / workers / retry / telemetry / array_backend:
+    executor / workers / retry / telemetry:
         Default runner arguments for every job; a job's submitted
-        ``options`` override them per job.  ``array_backend`` names the
-        :mod:`repro.backends` substrate the job's solvers run on; the
-        runner validates it before any worker spawns and pins it into
-        the job's spec.
+        ``options`` override them per job.
 
     The dispatcher sleeps until woken: by :meth:`submit`, by a job
     thread's exit and by :meth:`stop` -- the only events that can make
@@ -61,7 +74,7 @@ class JobManager:
     """
 
     def __init__(self, root, max_workers=2, executor=None, workers=None,
-                 retry=None, telemetry=None, array_backend=None):
+                 retry=None, telemetry=None):
         self.root = os.path.abspath(str(root))
         os.makedirs(self.root, exist_ok=True)
         self.namespace = Namespace(self.root)
@@ -76,7 +89,6 @@ class JobManager:
             "workers": workers,
             "retry": retry,
             "telemetry": telemetry,
-            "array_backend": array_backend,
         }
         self._dispatcher = None
         self._stop = threading.Event()
@@ -303,6 +315,7 @@ class JobManager:
     def _runner_arguments(self, job):
         merged = dict(self.defaults)
         merged.update(job.options)
+        _drop_removed_array_backend(merged)
         executor = merged.pop("executor", None)
         workers = merged.pop("workers", None)
         if workers is not None and executor in (None, "serial"):

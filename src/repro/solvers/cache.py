@@ -14,10 +14,14 @@ risk of stale reuse after a material or mesh change.  The cache is
 bounded (LRU) because LU factors of field matrices are large.
 
 ``shared_cache()`` returns a per-process singleton; campaign workers use
-it so that every solver built in that worker shares one pool.
+it so that every solver built in that worker shares one pool.  Threads
+share it too (the ``thread`` executor, concurrent service jobs), so a
+lookup is single-flight per key: the first caller factorizes while later
+callers for the same matrix wait for its result and count a hit.
 """
 
 import hashlib
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -89,6 +93,10 @@ class FactorizationCache:
             )
         self.max_entries = max_entries
         self._entries = OrderedDict()
+        #: Guards ``_entries``, ``_in_flight`` and the counters.
+        self._lock = threading.Lock()
+        #: Fingerprint -> event set once that key's factorization ends.
+        self._in_flight = {}
         #: Hit/miss counters live in a per-cache metrics registry; the
         #: ``hits`` / ``misses`` attributes and ``stats()`` dict below
         #: are thin views over it.
@@ -107,35 +115,46 @@ class FactorizationCache:
         """Lifetime cache misses (view over the metrics registry)."""
         return int(self.metrics.counter_value("misses"))
 
-    def factorize(self, matrix, backend=None):
-        """Backend factorization handle with content-addressed memoization.
+    def factorize(self, matrix):
+        """SuperLU factorization of ``matrix``, memoized by content.
 
-        The key is ``(fingerprint, backend.name)``: the array backend is
-        part of it because a handle holds backend-specific state
-        (memory-space conventions), so the same fingerprint under two
-        backends yields two independent handles, never a cross-backend
-        reuse.
+        Single-flight per fingerprint: while one thread factorizes a
+        matrix, other callers for the same matrix wait and then count a
+        hit on its result.  A factorization that raises is not cached;
+        it wakes its waiters, and the next of them tries again.
         """
-        from ..backends import get_array_backend
-
-        backend = get_array_backend(backend)
-        key = (matrix_fingerprint(matrix), backend.name)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.metrics.increment("hits")
-            telemetry.increment("cache.hits")
-            return self._entries[key]
-        self.metrics.increment("misses")
-        telemetry.increment("cache.misses")
-        handle = backend.factorize(matrix)
-        self._entries[key] = handle
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return handle
+        key = matrix_fingerprint(matrix)
+        while True:
+            with self._lock:
+                lu = self._entries.get(key)
+                if lu is not None:
+                    self._entries.move_to_end(key)
+                    self.metrics.increment("hits")
+                    telemetry.increment("cache.hits")
+                    return lu
+                done = self._in_flight.get(key)
+                if done is None:
+                    done = self._in_flight[key] = threading.Event()
+                    self.metrics.increment("misses")
+                    telemetry.increment("cache.misses")
+                    break
+            done.wait()
+        try:
+            lu = checked_splu(matrix)
+            with self._lock:
+                self._entries[key] = lu
+                while len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+        finally:
+            with self._lock:
+                del self._in_flight[key]
+            done.set()
+        return lu
 
     def clear(self):
         """Drop every cached factorization (counters are kept)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def stats(self):
         """``{"entries", "hits", "misses"}`` for diagnostics/benchmarks."""
@@ -147,11 +166,13 @@ class FactorizationCache:
 
 
 _SHARED = None
+_SHARED_LOCK = threading.Lock()
 
 
 def shared_cache():
     """The per-process shared cache (created on first use)."""
     global _SHARED
-    if _SHARED is None:
-        _SHARED = FactorizationCache()
-    return _SHARED
+    with _SHARED_LOCK:
+        if _SHARED is None:
+            _SHARED = FactorizationCache()
+        return _SHARED

@@ -19,9 +19,9 @@ update as accurate as a direct solve of the stamped matrix.
 import numpy as np
 import scipy.sparse as sp
 
-from ..backends import get_array_backend
 from ..errors import SolverError
 from ..telemetry import tracing as telemetry
+from .cache import checked_splu
 
 #: Largest condition number of ``I + D C`` the solver accepts, measured
 #: as ``(1 + |D C|) |(I + D C)^-1|`` in the 1-norm so that a 1x1 core
@@ -53,17 +53,10 @@ class WoodburySolver:
         given, the LU of ``A_nom`` is looked up / stored there so
         structurally identical solvers built in the same process share
         one factorization (the campaign worker pattern).
-    backend:
-        :class:`~repro.backends.ArrayBackend` (or registered name)
-        carrying the linear algebra: the factorization/backsolve seam,
-        the batched core solve and the host/device transfers.  ``None``
-        resolves the process default (``numpy`` unless
-        ``REPRO_ARRAY_BACKEND`` overrides it).
     """
 
     def __init__(self, base_matrix, update_vectors, nominal_conductances,
-                 cache=None, backend=None):
-        self.backend = get_array_backend(backend)
+                 cache=None):
         update_vectors = np.asarray(update_vectors, dtype=float)
         if update_vectors.ndim != 2:
             raise SolverError("update_vectors must be a 2D (n, k) array")
@@ -83,16 +76,13 @@ class WoodburySolver:
             + stamps @ sp.diags(self.nominal_conductances) @ stamps.T
         ).tocsc()
         if cache is not None:
-            self._handle = cache.factorize(nominal, backend=self.backend)
+            self._lu = cache.factorize(nominal)
         else:
-            self._handle = self.backend.factorize(nominal)
+            self._lu = checked_splu(nominal)
         # W = A_nom^-1 U in one multi-RHS triangular sweep, and the
         # capacitance matrix C = U^T W.
         self.base_inverse_u = self.base_solve(update_vectors)
         self._core = update_vectors.T @ self.base_inverse_u
-        # Backend-resident U and W, uploaded (and transfer-counted)
-        # lazily on the first solve.
-        self._device_ops = None
 
     @property
     def size(self):
@@ -100,12 +90,12 @@ class WoodburySolver:
         return self.update_vectors.shape[0]
 
     def base_solve(self, rhs):
-        """Host solve ``A_nom^-1 rhs`` with the nominally stamped matrix.
+        """Solve ``A_nom^-1 rhs`` with the nominally stamped matrix.
 
         For one-time setup solves (``W`` here, a caller's precomputed
         basis); per-sample solves go through :meth:`solve_batch`.
         """
-        return self._handle.lu.solve(np.ascontiguousarray(rhs, dtype=float))
+        return self._lu.solve(np.ascontiguousarray(rhs, dtype=float))
 
     def _check_conductances(self, conductances):
         """Validate an ``(S, k)`` block of non-negative conductances."""
@@ -202,26 +192,16 @@ class WoodburySolver:
         telemetry.increment("solver.blocked_solves")
         return self._solve(conductances, rhs)
 
-    def _device_operators(self):
-        """Upload U and W to the backend once (counted transfers)."""
-        if self._device_ops is None:
-            self._device_ops = (
-                self.backend.to_device(self.update_vectors),
-                self.backend.to_device(self.base_inverse_u),
-            )
-        return self._device_ops
-
     def coefficients(self, conductances, projected):
         """Capacitance-form coefficients ``c_s = (I + D_s C)^-1 D_s p_s``.
 
         The solution of sample ``s`` is ``x_s = x0_s - W c_s`` with
         ``x0_s = A_nom^-1 b_s``, ``W = A_nom^-1 U`` and the projection
-        ``p_s = U^T x0_s``.  ``conductances`` is an ``(S, k)`` host
-        block; ``projected`` lives in the backend's memory space, either
-        ``(S, k)`` (one row per sample) or one shared ``(k,)`` row, and
-        so does the ``(S, k)`` result.  A caller that keeps ``x0`` and
-        ``W`` in a reduced basis of its own needs only these ``k``
-        numbers per sample, not the ``n``-long solution.
+        ``p_s = U^T x0_s``.  ``conductances`` is an ``(S, k)`` block;
+        ``projected`` is either ``(S, k)`` (one row per sample) or one
+        shared ``(k,)`` row; the result is ``(S, k)``.  A caller that
+        keeps ``x0`` and ``W`` in a reduced basis of its own needs only
+        these ``k`` numbers per sample, not the ``n``-long solution.
         """
         conductances = self._check_conductances(
             np.asarray(conductances, dtype=float)
@@ -231,33 +211,24 @@ class WoodburySolver:
         cores = np.eye(self.rank) + update
         _check_cores(cores, update)
         try:
-            return self.backend.batched_core_solve(
-                cores, self.backend.to_device(delta) * projected
-            )
+            return np.linalg.solve(
+                cores, (delta * projected)[..., None]
+            )[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"Woodbury core solve failed: {exc}") from exc
 
     def _solve(self, conductances, rhs):
-        """The capacitance-form update for validated inputs.
-
-        Runs in the backend's memory space: per call one RHS upload,
-        one deviation upload and one cores upload (inside
-        :meth:`coefficients`) and one solution download, plus the
-        one-time operator uploads -- each counted in
-        ``solver.device_transfers`` on device backends.
-        """
-        backend = self.backend
-        x0 = self._handle.backsolve(
-            backend.to_device(np.ascontiguousarray(rhs))
-        )
-        u, w = self._device_operators()
-        projected = u.T @ x0
+        """The capacitance-form update for validated inputs."""
+        x0 = self._lu.solve(np.ascontiguousarray(rhs))
+        projected = self.update_vectors.T @ x0
         if rhs.ndim == 1:
-            x0 = backend.broadcast_columns(x0, conductances.shape[0])
+            x0 = np.broadcast_to(
+                x0[:, None], (x0.shape[0], conductances.shape[0])
+            )
         else:
             projected = projected.T
         coefficients = self.coefficients(conductances, projected)
-        solution = backend.from_device(x0 - w @ coefficients.T)
+        solution = x0 - self.base_inverse_u @ coefficients.T
         if not np.all(np.isfinite(solution)):
             raise SolverError("Woodbury solve produced non-finite values")
         return solution

@@ -29,7 +29,7 @@ class BlockedModel:
     reaches the owning study.
     """
 
-    def __init__(self, model, evaluate_block, array_backend=None):
+    def __init__(self, model, evaluate_block):
         if not callable(model) or not callable(evaluate_block):
             raise SamplingError(
                 "BlockedModel needs a callable model and a callable "
@@ -37,10 +37,6 @@ class BlockedModel:
             )
         self._model = model
         self.evaluate_block = evaluate_block
-        #: Array-backend name the block evaluator solves through (when
-        #: known) -- the campaign executor duck-types on this attribute
-        #: to label its block telemetry.
-        self.array_backend = array_backend
         owner = getattr(model, "__self__", None)
         if owner is not None:
             self.__self__ = owner

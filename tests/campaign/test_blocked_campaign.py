@@ -4,7 +4,7 @@ The blocked fast path restructures the Monte Carlo hot loop from one
 coupled transient per sample into batched multi-RHS linear algebra.
 These tests pin the contract: a blocked campaign reproduces the
 per-sample study to rounding (1e-10 relative to the output magnitude)
-at every chunk size and under every array backend, and the campaign
+at every chunk size, and the campaign
 engine's determinism guarantees (serial == process, kill/resume) stay
 bit-identical with blocking on.
 """
@@ -121,45 +121,33 @@ class TestBackendDeterminism:
         assert np.array_equal(resumed.std, reference.std)
 
 
-class TestArrayBackendThreading:
-    """run_campaign(array_backend=...) pins the selection end to end."""
+class TestLegacyBackendPin:
+    """Stores written when scenarios pinned an array backend."""
 
-    def test_selection_pinned_into_manifest_not_caller_spec(self, tmp_path):
-        spec = _tiny_spec(num_samples=2, chunk_size=2)
-        store = ArtifactStore(tmp_path / "store")
-        run_campaign(spec, store=store, array_backend="devicesim")
-        # The caller's spec is never mutated -- pinning happens on a copy.
-        assert "array_backend" not in spec.scenario.options
-        pinned = store.load_spec()
-        assert pinned.scenario.options["array_backend"] == "devicesim"
+    def test_store_pinning_numpy_resumes_bitwise(self, tmp_path):
+        spec = _tiny_spec(num_samples=4, chunk_size=2)
+        reference = run_campaign(spec, store=tmp_path / "reference")
+        pinned = _tiny_spec(num_samples=4, chunk_size=2)
+        pinned.scenario.options["array_backend"] = "numpy"
+        store = ArtifactStore(tmp_path / "pinned").initialize(pinned)
+        model = resolve_model(spec.scenario)
+        for chunk in campaign_chunks(spec, [0]):
+            store.write_chunk(evaluate_chunk(model, chunk))
+        resumed = resume_campaign(store)
+        assert resumed.num_evaluated == spec.num_samples - spec.chunk_size
+        assert np.array_equal(resumed.mean, reference.mean)
+        assert np.array_equal(resumed.std, reference.std)
 
-    def test_unknown_backend_fails_before_any_evaluation(self, tmp_path):
-        from repro.errors import SolverError
-
-        spec = _tiny_spec(num_samples=2, chunk_size=2)
-        with pytest.raises(SolverError, match="unknown array backend"):
-            run_campaign(spec, store=tmp_path / "store",
-                         array_backend="tpu")
-        assert not (tmp_path / "store").exists()
-
-    def test_resume_under_different_backend_refused(self, tmp_path):
+    def test_store_pinning_another_backend_is_refused(self, tmp_path):
         from repro.errors import CampaignError
 
-        spec = _tiny_spec(num_samples=4, chunk_size=2)
-        store = ArtifactStore(tmp_path / "store")
-        run_campaign(spec, store=store, array_backend="devicesim")
-        # Re-stating the pinned backend is a no-op ...
-        resume_campaign(store, array_backend="devicesim")
-        # ... naming a different one would mix two backends in one store.
-        with pytest.raises(CampaignError, match="different spec"):
-            resume_campaign(store, array_backend="numpy")
-
-    def test_job_manager_accepts_array_backend_option(self, tmp_path):
-        from repro.service.manager import JOB_OPTIONS, JobManager
-
-        assert "array_backend" in JOB_OPTIONS
-        manager = JobManager(tmp_path / "jobs", array_backend="devicesim")
-        assert manager.defaults["array_backend"] == "devicesim"
+        spec = _tiny_spec(num_samples=2, chunk_size=2)
+        spec.scenario.options["array_backend"] = "cupy"
+        store = ArtifactStore(tmp_path / "store").initialize(spec)
+        with pytest.raises(CampaignError,
+                           match="array backends were removed"):
+            resume_campaign(store)
+        assert store.completed_chunks() == []
 
 
 class TestAdaptiveFallback:

@@ -2,8 +2,7 @@
 
 Blocked and per-sample traces run the same fast step (S samples vs
 S = 1), so they agree to one tolerance (1e-10 relative) and with
-identical fixed-point iteration counts under every array backend -- CI
-re-runs this suite under ``REPRO_ARRAY_BACKEND=devicesim``.  The
+identical fixed-point iteration counts.  The
 ``bitwise`` test names are historical: only the summation order of the
 batched products separates the two.  The independent check of the step
 is the full-mode oracle in ``test_electrothermal.py``.

@@ -37,7 +37,7 @@ def _system(size):
 
 def build_cached(scenario):
     size = int(scenario.options.get("size", 12))
-    lu = shared_cache().factorize(_system(size)).lu
+    lu = shared_cache().factorize(_system(size))
 
     def model(parameters):
         p = np.asarray(parameters, dtype=float)

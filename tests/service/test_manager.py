@@ -140,6 +140,29 @@ class TestRestartRecovery:
             record = wait_terminal(manager, job.job_id)
         assert record.state == "completed"
 
+    def test_queued_numpy_array_backend_option_is_dropped(self, tmp_path):
+        """A queue written when jobs could pick an array backend still
+        runs its numpy jobs, bitwise like a job without the option."""
+        root = tmp_path / "svc"
+        spec = make_toy_spec()
+        job = JobQueue(root).submit(spec, options={"array_backend": "numpy"})
+        with JobManager(root) as manager:
+            record = wait_terminal(manager, job.job_id)
+            store = manager.store_for(record)
+        assert record.state == "completed"
+        run_campaign(spec, store=tmp_path / "reference")
+        assert_stores_bitwise_equal(store.path, tmp_path / "reference")
+
+    def test_queued_other_array_backend_fails_the_job(self, tmp_path):
+        root = tmp_path / "svc"
+        job = JobQueue(root).submit(
+            make_toy_spec(), options={"array_backend": "cupy"}
+        )
+        with JobManager(root) as manager:
+            record = wait_terminal(manager, job.job_id)
+        assert record.state == "failed"
+        assert "array backends were removed" in record.error
+
 
 class TestWatch:
     def test_watch_yields_monotone_frontier_then_terminal(self, tmp_path):

@@ -1,10 +1,14 @@
 """Tests for the content-addressed factorization cache."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.errors import SolverError
+from repro.solvers import cache as cache_module
 from repro.solvers.cache import (
     FactorizationCache,
     checked_splu,
@@ -89,48 +93,76 @@ class TestCacheBehavior:
             FactorizationCache(max_entries=0)
 
 
-class TestBackendKeyedIsolation:
-    """The backend name is part of the cache key: handles carry
-    backend-specific state, so the same fingerprint under two backends
-    must yield two independent handles (never cross-backend reuse)."""
+class TestSingleFlight:
+    """Concurrent lookups of one matrix factorize it once."""
 
-    def test_same_fingerprint_two_backends_two_handles(self):
+    def test_concurrent_misses_factorize_once(self):
+        num_threads = 8
+        size = 20_000
+        matrix = sp.diags(
+            [-np.ones(size - 1), 4.0 * np.ones(size), -np.ones(size - 1)],
+            [-1, 0, 1], format="csc",
+        )
+        cache = FactorizationCache()
+        barrier = threading.Barrier(num_threads, timeout=30.0)
+        results = [None] * num_threads
+
+        def lookup(slot):
+            barrier.wait()
+            results[slot] = cache.factorize(matrix)
+
+        threads = [threading.Thread(target=lookup, args=(slot,))
+                   for slot in range(num_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.stats() == {
+            "entries": 1, "hits": num_threads - 1, "misses": 1,
+        }
+        assert all(lu is results[0] for lu in results)
+
+    def test_failed_factorization_is_not_cached_and_wakes_waiters(
+            self, monkeypatch):
+        started = threading.Event()
+        release = threading.Event()
+        calls = []
+
+        def fail_first(matrix):
+            calls.append(matrix)
+            if len(calls) == 1:
+                started.set()
+                release.wait()
+                raise SolverError("base LU factorization failed: injected")
+            return checked_splu(matrix)
+
+        monkeypatch.setattr(cache_module, "checked_splu", fail_first)
         cache = FactorizationCache()
         matrix = _spd()
-        numpy_handle = cache.factorize(matrix, backend="numpy")
-        devicesim_handle = cache.factorize(matrix, backend="devicesim")
-        assert numpy_handle is not devicesim_handle
-        assert numpy_handle.lu is not devicesim_handle.lu
-        assert cache.stats() == {"entries": 2, "hits": 0, "misses": 2}
+        outcomes = {}
 
-    def test_hit_miss_counters_correct_per_backend(self):
-        cache = FactorizationCache()
-        matrix = _spd()
-        cache.factorize(matrix, backend="numpy")       # miss
-        cache.factorize(matrix, backend="numpy")       # hit
-        cache.factorize(matrix, backend="devicesim")   # miss: new backend
-        cache.factorize(matrix, backend="devicesim")   # hit
-        assert cache.stats() == {"entries": 2, "hits": 2, "misses": 2}
+        def lookup(name):
+            try:
+                outcomes[name] = cache.factorize(matrix)
+            except SolverError as exc:
+                outcomes[name] = exc
 
-    def test_shared_cache_counters_stay_correct_per_backend(self):
-        from repro.solvers.cache import shared_cache
-
-        cache = shared_cache()
-        matrix = _spd(seed=41)
-        before = cache.stats()
-        cache.factorize(matrix, backend="numpy")
-        cache.factorize(matrix, backend="devicesim")
-        middle = cache.stats()
-        assert middle["misses"] == before["misses"] + 2
-        assert middle["hits"] == before["hits"]
-        cache.factorize(matrix, backend="numpy")
-        cache.factorize(matrix, backend="devicesim")
-        after = cache.stats()
-        assert after["hits"] == middle["hits"] + 2
-        assert after["misses"] == middle["misses"]
-
-    def test_default_backend_resolution(self):
-        cache = FactorizationCache()
-        matrix = _spd()
-        default_handle = cache.factorize(matrix)
-        assert cache.factorize(matrix, backend="numpy") is default_handle
+        owner = threading.Thread(target=lookup, args=("owner",))
+        owner.start()
+        assert started.wait(timeout=30.0)
+        waiter = threading.Thread(target=lookup, args=("waiter",))
+        waiter.start()
+        release.set()
+        for thread in (owner, waiter):
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert isinstance(outcomes["owner"], SolverError)
+        assert cache.factorize(matrix) is outcomes["waiter"]
+        assert len(calls) == 2
+        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 2}

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SamplingError
@@ -147,7 +147,9 @@ def assert_matches_oracle(interval, oracle):
             assert actual is None, field
             continue
         assert actual.shape == expected.shape, field
-        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12,
+        # The two paths sum in different orders, so bounds agree to a few
+        # ulp of their magnitude (relative); atol is the floor near zero.
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12,
                                    equal_nan=True, err_msg=field)
 
 
@@ -202,6 +204,10 @@ class TestAgainstOracle:
         zero_component=st.booleans(),
         num_replicates=st.integers(1, 60),
     )
+    # A closed group index near 7212 whose two paths differ by 2 ulp.
+    @example(seed=0, num_base_samples=3, dimension=1, output_shape=(),
+             with_pairs=False, with_groups=True, zero_component=False,
+             num_replicates=25)
     def test_random_designs(self, seed, num_base_samples, dimension,
                             output_shape, with_pairs, with_groups,
                             zero_component, num_replicates):
