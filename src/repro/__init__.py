@@ -16,7 +16,7 @@ Quickstart::
     print(result.summary())
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every table and figure.
+paper-versus-measured record.
 """
 
 from .bondwire import (

@@ -27,9 +27,14 @@ Two execution modes:
   electrothermal feedback of this application) are retained exactly.
   The wire feedback of a step converges in port space (the wire-end
   node temperatures), the field temperatures follow from one thermal
-  solve, and an M-matrix bound certifies the lagged radiation.  One
-  step advances an ``(n, S)`` temperature block, one column per
-  wire-length sample; the per-sample path is its ``S = 1`` case.
+  solve, and an M-matrix bound certifies the lagged radiation.
+
+Every step advances an ``(n, S)`` temperature block, one column per
+wire-length sample, and one time-integration loop drives it:
+:meth:`CoupledSolver.solve_transient` is that loop at ``S = 1`` with the
+bound lengths, :meth:`BlockedCoupledSolver.solve_transient_block` the
+same loop over a Monte Carlo block.  Full mode reassembles per sample,
+so it steps ``S = 1`` blocks only.
 """
 
 from collections import OrderedDict, deque
@@ -52,6 +57,12 @@ from .electrical import embed_grid_matrix
 from .quantities import StationaryResult, TransientResult
 
 _MODES = ("full", "fast")
+#: Fast-mode bound on the per-``dt`` thermal solver map.  Adaptive step
+#: doubling alternates between ``dt`` and ``dt/2`` within one attempt,
+#: so the map must hold the handful of distinct step sizes in flight (a
+#: quantized-dt ladder fits comfortably); the least recently used solver
+#: is evicted first.
+_MAX_THERMAL_SOLVERS = 8
 
 
 class CoupledSolver:
@@ -74,12 +85,6 @@ class CoupledSolver:
         across solver instances; fast-mode base LUs are looked up there,
         so rebuilding the solver for the same problem in one process
         (campaign workers, resumed runs) skips the factorization cost.
-    max_thermal_solvers:
-        Fast-mode bound on the per-``dt`` thermal solver map.  Adaptive
-        step doubling alternates between ``dt`` and ``dt/2`` within one
-        attempt, so the map must hold at least the handful of distinct
-        step sizes in flight (a quantized-dt ladder fits comfortably in
-        the default 8); the least recently used solver is evicted first.
     """
 
     def __init__(
@@ -89,7 +94,6 @@ class CoupledSolver:
         tolerance=1.0e-6,
         max_iterations=40,
         factorization_cache=None,
-        max_thermal_solvers=8,
     ):
         if mode not in _MODES:
             raise SolverError(f"unknown mode {mode!r}; expected one of {_MODES}")
@@ -152,12 +156,6 @@ class CoupledSolver:
         self._linear_th = LinearSolver()
         #: Drive scale of the current time level (waveform support).
         self._el_scale = 1.0
-        self.max_thermal_solvers = int(max_thermal_solvers)
-        if self.max_thermal_solvers < 1:
-            raise SolverError(
-                f"max_thermal_solvers must be >= 1, got "
-                f"{self.max_thermal_solvers}"
-            )
         #: Lifetime cost counters (``thermal_solver_builds``,
         #: ``coupled_steps``); the attribute accessors below are thin
         #: views over this registry, and ``solver_statistics()`` reports
@@ -373,7 +371,7 @@ class CoupledSolver:
         Adaptive step doubling alternates ``dt`` and ``dt/2`` inside
         every attempt; a single-slot memo would rebuild (and
         re-fingerprint) the base on each alternation, so the map keeps
-        the last ``max_thermal_solvers`` distinct step sizes alive.
+        the last ``_MAX_THERMAL_SOLVERS`` distinct step sizes alive.
         """
         key = float(dt)
         step = self._fast_th_solvers.get(key)
@@ -391,7 +389,7 @@ class CoupledSolver:
         self.metrics.increment("thermal_solver_builds")
         telemetry.increment("solver.thermal_builds")
         self._fast_th_solvers[key] = step
-        while len(self._fast_th_solvers) > self.max_thermal_solvers:
+        while len(self._fast_th_solvers) > _MAX_THERMAL_SOLVERS:
             self._fast_th_solvers.popitem(last=False)
         return step
 
@@ -772,27 +770,39 @@ class CoupledSolver:
             residual=worst,
         )
 
-    def _step(self, t_old, dt, guess=None):
-        """One implicit Euler step of the bound sample (either mode).
+    def _bound_lengths(self):
+        """The ``(1, W)`` length block of the bound wires."""
+        return np.array([[wire.length for wire in self.topology.wires]])
 
-        Fast mode runs :meth:`_step_fast` with ``S = 1``.  Returns
-        ``(T_new, iterations, phi, wire_powers, field_power)``.
+    def _step(self, t_old, dt, lengths, guess=None):
+        """One implicit Euler step of an ``(n, S)`` block (either mode).
+
+        Fast mode is :meth:`_step_fast` over the ``(S, W)`` ``lengths``.
+        Full mode reassembles from the bound wires, so it takes one
+        column (``S = 1``) through :meth:`_step_full`.  Returns
+        ``(T_new, iterations, phi, wire_powers, field_power)`` with
+        shapes ``(n, S)``, ``(S,)``, ``(n, S)``, ``(W, S)`` and ``(S,)``.
         """
+        num_samples = t_old.shape[1]
         if self.mode == "fast":
-            t_new, iterations, phi, wire_powers, field_power = (
-                self._step_fast(
-                    t_old[:, None], dt,
-                    np.array([[wire.length for wire in self.topology.wires]]),
-                    guess=None if guess is None else guess[:, None],
-                )
+            outputs = self._step_fast(t_old, dt, lengths, guess=guess)
+        elif num_samples != 1:
+            raise SolverError(
+                f"full mode steps one sample at a time, got a block of "
+                f"{num_samples}"
             )
-            outputs = (t_new[:, 0], int(iterations[0]), phi[:, 0],
-                       wire_powers[:, 0], float(field_power[0]))
         else:
-            outputs = self._step_full(t_old, dt, guess, self.max_iterations)
-        self.metrics.increment("coupled_steps")
-        telemetry.increment("solver.coupled_steps")
-        telemetry.increment("solver.fixed_point_iterations", outputs[1])
+            t_new, iterations, phi, wire_powers, field_power = (
+                self._step_full(t_old[:, 0], dt,
+                                None if guess is None else guess[:, 0],
+                                self.max_iterations)
+            )
+            outputs = (t_new[:, None], np.array([iterations]), phi[:, None],
+                       wire_powers[:, None], np.array([field_power]))
+        self.metrics.increment("coupled_steps", num_samples)
+        telemetry.increment("solver.coupled_steps", num_samples)
+        telemetry.increment("solver.fixed_point_iterations",
+                            int(outputs[1].sum()))
         return outputs
 
     def step_once(self, temperatures, dt, drive_scale=1.0, guess=None):
@@ -802,31 +812,107 @@ class CoupledSolver:
         (e.g. :func:`repro.solvers.adaptive.adaptive_implicit_euler`,
         whose ``step_function(state, dt)`` signature this matches with
         the default constant drive).  Uses the same fixed-point step as
-        :meth:`solve_transient`; ``drive_scale`` scales the contact
-        potentials for this step (callers integrating a waveform
-        evaluate it at the step's new time level themselves).
-        ``guess`` warm-starts the fixed point (e.g. the adaptive
-        controller's linear predictor) -- the converged solution is the
-        same within the fixed-point tolerance, just cheaper to reach.
+        :meth:`solve_transient`, on the state as a one-column block;
+        ``drive_scale`` scales the contact potentials for this step
+        (callers integrating a waveform evaluate it at the step's new
+        time level themselves).  ``guess`` warm-starts the fixed point
+        (e.g. the adaptive controller's linear predictor) -- the
+        converged solution is the same within the fixed-point tolerance,
+        just cheaper to reach.
         """
         self._el_scale = float(drive_scale)
         try:
             new_state = self._step(
-                np.asarray(temperatures, dtype=float), float(dt),
-                guess=None if guess is None else np.asarray(guess, dtype=float),
+                np.asarray(temperatures, dtype=float)[:, None], float(dt),
+                self._bound_lengths(),
+                guess=None if guess is None
+                else np.asarray(guess, dtype=float)[:, None],
             )[0]
         finally:
             self._el_scale = 1.0
-        return new_state
+        return new_state[:, 0]
+
+    def _integrate(self, time_grid, lengths, waveform=None,
+                   store_fields=False):
+        """The time-integration loop over an ``(S, W)`` length block.
+
+        Every step scales the drive by ``waveform`` at its new time
+        level and, from the second step on, starts its fixed point from
+        the extrapolation of the accepted states (linear, then
+        quadratic; see :func:`_extrapolated_guess`) -- the converged
+        state is the same within the fixed-point tolerance, reached in
+        fewer iterations.  Returns the :class:`BlockedTransientResult`,
+        the ``(n, S)`` potentials of the last step and, with
+        ``store_fields``, the ``(n, S)`` state of every time point
+        (``None`` otherwise).
+        """
+        from .excitation import as_waveform
+
+        if not isinstance(time_grid, TimeGrid):
+            raise SolverError("time_grid must be a TimeGrid")
+        drive = as_waveform(waveform)
+        num_samples = lengths.shape[0]
+        temperatures = np.full(
+            (self.total_size, num_samples), self.problem.t_initial
+        )
+        topology = self.topology
+        wire_t = [topology.wire_temperatures(temperatures)]
+        wire_peak = [topology.wire_peak_temperatures(temperatures)]
+        wire_p = [np.zeros((len(topology.wires), num_samples))]
+        field_p = [np.zeros(num_samples)]
+        iterations = []
+        fields = [temperatures.copy()] if store_fields else None
+        phi = np.zeros((self.total_size, num_samples))
+        history = deque([temperatures], maxlen=3)
+        times = time_grid.times
+        try:
+            for step_index in range(time_grid.num_steps):
+                self._el_scale = float(drive(times[step_index + 1]))
+                temperatures, n_iter, phi, wire_power, field_power = (
+                    self._step(temperatures, time_grid.dt, lengths,
+                               guess=_extrapolated_guess(history))
+                )
+                history.append(temperatures)
+                # One loop step advances the whole block; ``_step``
+                # counts the per-sample steps.
+                self.metrics.increment("blocked_steps")
+                telemetry.increment("solver.blocked_steps")
+                iterations.append(n_iter)
+                wire_t.append(topology.wire_temperatures(temperatures))
+                wire_peak.append(topology.wire_peak_temperatures(temperatures))
+                wire_p.append(wire_power)
+                field_p.append(field_power)
+                if store_fields:
+                    fields.append(temperatures.copy())
+        finally:
+            # Restore the constant drive for any later stationary solve,
+            # also when a step fails to converge.
+            self._el_scale = 1.0
+
+        def sample_major(per_step):
+            # list of (W, S) per time point -> (S, P, W)
+            return np.transpose(np.stack(per_step), (2, 0, 1))
+
+        result = BlockedTransientResult(
+            times=times,
+            wire_temperatures=sample_major(wire_t),
+            wire_peak_temperatures=sample_major(wire_peak),
+            wire_powers=sample_major(wire_p),
+            field_joule_power=np.stack(field_p).T,
+            final_temperatures=temperatures.T.copy(),
+            iterations_per_step=np.array(
+                iterations, dtype=int
+            ).reshape(-1, num_samples).T,
+            wire_names=self.problem.wire_names(),
+        )
+        return result, phi, fields
 
     def solve_transient(self, time_grid, store_fields=False, waveform=None):
         """Integrate the coupled system over a :class:`TimeGrid`.
 
-        From the second step on, each step's fixed point starts from the
-        extrapolation of the accepted states (linear, then quadratic;
-        see :func:`_extrapolated_guess`); the converged state is the
-        same within the fixed-point tolerance, reached in fewer
-        iterations.
+        The one integration loop at ``S = 1`` with the bound wire
+        lengths; see :meth:`_integrate` for the drive and the warm
+        starts.
 
         Parameters
         ----------
@@ -846,63 +932,22 @@ class CoupledSolver:
         -------
         :class:`~repro.coupled.quantities.TransientResult`
         """
-        from .excitation import as_waveform
-
-        if not isinstance(time_grid, TimeGrid):
-            raise SolverError("time_grid must be a TimeGrid")
-        drive = as_waveform(waveform)
-        temperatures = self.problem.initial_temperatures()
-        dt = time_grid.dt
-        num_wires = len(self.problem.wires)
-
-        wire_t = [self.topology.wire_temperatures(temperatures)]
-        wire_peak = [self.topology.wire_peak_temperatures(temperatures)]
-        wire_p = [np.zeros(num_wires)]
-        field_p = [0.0]
-        iterations = []
-        fields = [temperatures.copy()] if store_fields else None
-        phi = np.zeros(self.total_size)
-        history = deque([temperatures], maxlen=3)
-
-        times = time_grid.times
-        try:
-            for step_index in range(time_grid.num_steps):
-                self._el_scale = float(drive(times[step_index + 1]))
-                temperatures, n_iter, phi, wire_powers, field_power = (
-                    self._step(temperatures, dt,
-                               guess=_extrapolated_guess(history))
-                )
-                history.append(temperatures)
-                iterations.append(n_iter)
-                wire_t.append(self.topology.wire_temperatures(temperatures))
-                wire_peak.append(
-                    self.topology.wire_peak_temperatures(temperatures)
-                )
-                wire_p.append(wire_powers)
-                field_p.append(field_power)
-                if store_fields:
-                    fields.append(temperatures.copy())
-        finally:
-            # Restore the constant drive for any later stationary solve,
-            # also when a step fails to converge.
-            self._el_scale = 1.0
-
+        block, phi, fields = self._integrate(
+            time_grid, self._bound_lengths(), waveform, store_fields
+        )
         result = TransientResult(
             times=time_grid.times,
-            wire_temperatures=np.vstack(wire_t) if num_wires else
-            np.zeros((time_grid.num_points, 0)),
-            wire_peak_temperatures=np.vstack(wire_peak) if num_wires else
-            np.zeros((time_grid.num_points, 0)),
-            wire_powers=np.vstack(wire_p) if num_wires else
-            np.zeros((time_grid.num_points, 0)),
-            field_joule_power=np.asarray(field_p),
-            final_temperatures=temperatures,
-            final_potentials=phi,
-            iterations_per_step=iterations,
-            wire_names=self.problem.wire_names(),
+            wire_temperatures=block.wire_temperatures[0],
+            wire_peak_temperatures=block.wire_peak_temperatures[0],
+            wire_powers=block.wire_powers[0],
+            field_joule_power=block.field_joule_power[0],
+            final_temperatures=block.final_temperatures[0],
+            final_potentials=phi[:, 0],
+            iterations_per_step=block.iterations_per_step[0].tolist(),
+            wire_names=block.wire_names,
         )
         if store_fields:
-            result.fields = fields
+            result.fields = [field[:, 0] for field in fields]
         return result
 
     def solve_stationary(self, max_iterations=200, damping=0.8):
@@ -1116,11 +1161,11 @@ class BlockedCoupledSolver:
 
     Binds ``(S, W)`` per-sample wire lengths and advances all ``S``
     samples of a Monte Carlo chunk through the same time grid at once:
-    every time step is one call of the wrapped solver's fast step over
-    the ``(n, S)`` temperature block, whose port iterations and thermal
-    solves run for the whole block at once
+    :meth:`solve_transient_block` is the wrapped solver's one
+    integration loop over the bound block, whose port iterations and
+    thermal solves run for the whole block at once
     (:meth:`~repro.solvers.woodbury.WoodburySolver.solve_batch`).  The
-    per-sample :meth:`CoupledSolver.solve_transient` is the same step at
+    per-sample :meth:`CoupledSolver.solve_transient` is the same loop at
     ``S = 1``; both share every factorization, including the per-``dt``
     thermal solver map.
 
@@ -1151,7 +1196,6 @@ class BlockedCoupledSolver:
             )
         self.solver = solver
         self.num_wires = len(solver.topology.wires)
-        self._ep_start, self._ep_end = solver.topology.endpoint_node_indices()
         self._lengths = None
 
     def set_wire_lengths_block(self, lengths):
@@ -1178,9 +1222,7 @@ class BlockedCoupledSolver:
         scales the contact potentials exactly like
         :meth:`CoupledSolver.solve_transient` -- the drive is shared by
         every sample, which is what lets the fast step keep the
-        electrical solve in its precomputed unit-drive basis.  Steps are
-        warm-started like :meth:`CoupledSolver.solve_transient`'s, row
-        by row.
+        electrical solve in its precomputed unit-drive basis.
 
         Returns a :class:`BlockedTransientResult` whose sample ``s``
         reproduces the per-sample
@@ -1188,72 +1230,8 @@ class BlockedCoupledSolver:
         ``s`` up to floating-point summation-order differences of the
         batched products.
         """
-        from .excitation import as_waveform
-
-        if not isinstance(time_grid, TimeGrid):
-            raise SolverError("time_grid must be a TimeGrid")
         if self._lengths is None:
             raise SolverError(
                 "no sample block bound; call set_wire_lengths_block first"
             )
-        drive = as_waveform(waveform)
-        solver = self.solver
-        num_samples = self._lengths.shape[0]
-        temperatures = np.full(
-            (solver.total_size, num_samples), solver.problem.t_initial
-        )
-        ep_start, ep_end = self._ep_start, self._ep_end
-
-        def endpoint_mean(block):
-            return 0.5 * (block[ep_start] + block[ep_end])
-
-        def endpoint_peak(block):
-            # Single-segment wires: the chain is exactly the two
-            # endpoint nodes (enforced at construction).
-            return np.maximum(block[ep_start], block[ep_end])
-
-        wire_t = [endpoint_mean(temperatures)]
-        wire_peak = [endpoint_peak(temperatures)]
-        wire_p = [np.zeros((self.num_wires, num_samples))]
-        field_p = [np.zeros(num_samples)]
-        iterations = []
-        history = deque([temperatures], maxlen=3)
-        times = time_grid.times
-        dt = time_grid.dt
-        try:
-            for step_index in range(time_grid.num_steps):
-                solver._el_scale = float(drive(times[step_index + 1]))
-                (temperatures, n_iter, _, wire_power,
-                 field_power) = solver._step_fast(
-                    temperatures, dt, self._lengths,
-                    guess=_extrapolated_guess(history),
-                )
-                history.append(temperatures)
-                solver.metrics.increment("coupled_steps", num_samples)
-                telemetry.increment("solver.coupled_steps", num_samples)
-                telemetry.increment("solver.fixed_point_iterations",
-                                    int(n_iter.sum()))
-                solver.metrics.increment("blocked_steps")
-                telemetry.increment("solver.blocked_steps")
-                iterations.append(n_iter)
-                wire_t.append(endpoint_mean(temperatures))
-                wire_peak.append(endpoint_peak(temperatures))
-                wire_p.append(wire_power)
-                field_p.append(field_power)
-        finally:
-            solver._el_scale = 1.0
-
-        def sample_major(per_step):
-            # list of (W, S) per time point -> (S, P, W)
-            return np.transpose(np.stack(per_step), (2, 0, 1))
-
-        return BlockedTransientResult(
-            times=times,
-            wire_temperatures=sample_major(wire_t),
-            wire_peak_temperatures=sample_major(wire_peak),
-            wire_powers=sample_major(wire_p),
-            field_joule_power=np.stack(field_p).T,
-            final_temperatures=temperatures.T.copy(),
-            iterations_per_step=np.stack(iterations).T,
-            wire_names=solver.problem.wire_names(),
-        )
+        return self.solver._integrate(time_grid, self._lengths, waveform)[0]

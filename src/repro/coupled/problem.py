@@ -78,6 +78,21 @@ class WireTopology:
             )
             for stamp in stamps:
                 self.flat_segments.append((wire_index, stamp))
+        # Index arrays of the wire observables, so each is one gather
+        # over a state ``(n,)`` or a sample block ``(n, S)``: the
+        # endpoint pairs ``(W, 2)``, and every chain padded with its end
+        # node into ``(W, L)``.
+        self._endpoints = np.array(
+            [[stamp.start_node, stamp.end_node]
+             for stamp in self.endpoint_stamps],
+            dtype=int,
+        ).reshape(-1, 2)
+        width = max((len(chain) for chain in self.wire_nodes), default=1)
+        self._chains = np.array(
+            [chain + chain[-1:] * (width - len(chain))
+             for chain in self.wire_nodes],
+            dtype=int,
+        ).reshape(-1, width)
 
     @property
     def num_segments_total(self):
@@ -116,38 +131,27 @@ class WireTopology:
         )
         return starts, ends, wires
 
-    def endpoint_node_indices(self):
-        """``(start, end)`` index arrays of the per-wire endpoint stamps."""
-        starts = np.array(
-            [stamp.start_node for stamp in self.endpoint_stamps], dtype=int
-        )
-        ends = np.array(
-            [stamp.end_node for stamp in self.endpoint_stamps], dtype=int
-        )
-        return starts, ends
-
     def wire_temperatures(self, temperatures):
         """Representative wire temperatures ``T_bw,j = X_j^T T`` (eq. (5)).
 
         The average of the two *end-point* temperatures, regardless of the
-        number of segments -- exactly the paper's definition.
+        number of segments -- exactly the paper's definition.  ``(W,)``
+        for a state ``(n,)``, ``(W, S)`` for a sample block ``(n, S)``.
         """
         temperatures = np.asarray(temperatures, dtype=float)
-        return np.asarray(
-            [stamp.average_value(temperatures) for stamp in self.endpoint_stamps]
-        )
+        return 0.5 * (temperatures[self._endpoints[:, 0]]
+                      + temperatures[self._endpoints[:, 1]])
 
     def wire_peak_temperatures(self, temperatures):
         """Maximum temperature over each wire's chain nodes.
 
         Equals :meth:`wire_temperatures` end-point maximum for single
         segment wires; for multi-segment wires this sees the interior hot
-        spot the piecewise-linear profile resolves.
+        spot the piecewise-linear profile resolves.  Shapes as in
+        :meth:`wire_temperatures`.
         """
         temperatures = np.asarray(temperatures, dtype=float)
-        return np.asarray(
-            [float(np.max(temperatures[chain])) for chain in self.wire_nodes]
-        )
+        return np.max(temperatures[self._chains], axis=1)
 
     def segment_temperatures(self, temperatures):
         """Average temperature of every segment (controls its conductances)."""

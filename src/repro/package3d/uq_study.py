@@ -413,29 +413,26 @@ class Date16UncertaintyStudy:
     # Studies
     # ------------------------------------------------------------------
     def run_monte_carlo(self, num_samples=None, seed=0, uniform_points=None,
-                        keep_samples=False, block_size=None):
+                        keep_samples=False):
         """The paper's study; returns a :class:`Date16StudyResult`.
 
-        ``block_size`` opts into the sample-blocked fast path: samples
-        are evaluated ``block_size`` at a time through
-        :meth:`evaluate_traces_block` (requires fixed stepping / fast
-        mode / single-segment wires) and still folded one by one in
-        sample order, so the statistics match the per-sample loop within
-        the blocked path's floating-point tolerance.
+        Runs :meth:`block_model` through
+        :meth:`~repro.uq.monte_carlo.MonteCarloStudy.run`: fixed-step,
+        fast-mode, single-segment studies evaluate in sample blocks
+        through :meth:`evaluate_traces_block`; adaptive, full-mode and
+        multi-segment studies have no block evaluator and run one
+        sample at a time.  Samples fold in sample order either way.
         """
         if num_samples is None:
             num_samples = self.parameters.num_mc_samples
         study = MonteCarloStudy(
-            self.block_model() if block_size is not None
-            else self.evaluate_traces,
-            self.elongation_distribution, self.num_wires,
+            self.block_model(), self.elongation_distribution, self.num_wires,
         )
         mc = study.run(
             num_samples,
             seed=seed,
             uniform_points=uniform_points,
             keep_samples=keep_samples,
-            block_size=block_size,
         )
         return Date16StudyResult(
             times=self.time_grid.times,

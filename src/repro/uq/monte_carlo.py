@@ -12,17 +12,24 @@ from ..errors import SamplingError
 from .sampling import map_to_distributions, random_sampler
 from .statistics import RunningStatistics
 
+#: Samples per ``evaluate_block`` call of :class:`MonteCarloStudy`: the
+#: campaign's default ``chunk_size``.  Warm Date16 throughput is flat
+#: from 8 to 64 samples per block, so the smallest block is kept.
+_BLOCK_SIZE = 8
+
 
 class BlockedModel:
     """Pair a per-sample model with its vectorized block evaluator.
 
-    The campaign executor (and :meth:`MonteCarloStudy.run` with
-    ``block_size``) duck-type on a callable ``evaluate_block`` attribute:
-    given an ``(S, d)`` parameter block it must return the ``S`` stacked
-    outputs ``(S, *output_shape)``.  Plain callables cannot carry
-    attributes when they are bound methods, so this tiny wrapper holds
-    the pair -- calling it evaluates one sample, ``evaluate_block``
-    evaluates a whole block.
+    The campaign executor and :meth:`MonteCarloStudy.run` duck-type on
+    a callable ``evaluate_block`` attribute: given an ``(S, d)``
+    parameter block it must return the ``S`` stacked outputs
+    ``(S, *output_shape)``.  Whenever a model has one, both evaluate
+    through it in blocks; there is no per-sample opt-out, since a block
+    row equals the one-sample result up to summation order.  Plain
+    callables cannot carry attributes when they are bound methods, so
+    this tiny wrapper holds the pair -- calling it evaluates one sample,
+    ``evaluate_block`` evaluates a whole block.
 
     For introspection convenience the wrapped model's ``__self__`` (when
     it is a bound method) is re-exposed, so ``model.__self__`` still
@@ -155,9 +162,15 @@ class MonteCarloStudy:
         uniform_points=None,
         keep_samples=False,
         callback=None,
-        block_size=None,
     ):
         """Run ``num_samples`` model evaluations.
+
+        A model with a callable ``evaluate_block`` (see
+        :class:`BlockedModel`) is evaluated through it in blocks of
+        ``_BLOCK_SIZE`` (8) samples, the last block holding the rest;
+        any other model is called one sample at a time.  The outputs
+        fold one by one in sample order either way, so statistics and
+        callbacks do not depend on the path.
 
         Parameters
         ----------
@@ -168,12 +181,6 @@ class MonteCarloStudy:
             Store every raw output (needed for quantiles/histograms).
         callback:
             Optional ``callback(index, parameters, output)`` progress hook.
-        block_size:
-            Evaluate samples in blocks of this size through the model's
-            ``evaluate_block`` interface (see :class:`BlockedModel`) --
-            the sample-blocked fast path.  The model must expose a
-            callable ``evaluate_block``; outputs still fold one by one
-            in sample order, so statistics and callbacks are unchanged.
         """
         if uniform_points is None:
             uniform_points = random_sampler(num_samples, self.dimension, seed)
@@ -186,15 +193,7 @@ class MonteCarloStudy:
         parameters = map_to_distributions(uniform_points, self.distributions)
         statistics = RunningStatistics()
         stored = [] if keep_samples else None
-        if block_size is not None:
-            outputs = self._blocked_outputs(parameters, block_size)
-        else:
-            outputs = (
-                self.model(parameters[index])
-                for index in range(parameters.shape[0])
-            )
-        for index, output in enumerate(outputs):
-            output = np.asarray(output, dtype=float)
+        for index, output in enumerate(self._outputs(parameters)):
             statistics.update(output)
             if keep_samples:
                 stored.append(output)
@@ -203,21 +202,19 @@ class MonteCarloStudy:
         samples = np.stack(stored) if keep_samples else None
         return MonteCarloResult(statistics, parameters, samples)
 
-    def _blocked_outputs(self, parameters, block_size):
-        """Generator over per-sample outputs via ``evaluate_block``."""
-        block_size = int(block_size)
-        if block_size < 1:
-            raise SamplingError(
-                f"block_size must be >= 1, got {block_size}"
-            )
+    def _outputs(self, parameters):
+        """The per-sample outputs of the ``(M, d)`` parameter rows.
+
+        Blocks of ``_BLOCK_SIZE`` through the model's
+        ``evaluate_block`` when it has one, row by row otherwise.
+        """
         evaluate_block = getattr(self.model, "evaluate_block", None)
         if not callable(evaluate_block):
-            raise SamplingError(
-                "block_size needs a model with a callable evaluate_block "
-                "(see repro.uq.monte_carlo.BlockedModel)"
-            )
-        for start in range(0, parameters.shape[0], block_size):
-            block = parameters[start:start + block_size]
+            for row in parameters:
+                yield np.asarray(self.model(row), dtype=float)
+            return
+        for start in range(0, parameters.shape[0], _BLOCK_SIZE):
+            block = parameters[start:start + _BLOCK_SIZE]
             outputs = np.asarray(evaluate_block(block), dtype=float)
             if outputs.shape[0] != block.shape[0]:
                 raise SamplingError(
@@ -231,7 +228,7 @@ class MonteCarloStudy:
 
         Returns ``(counts, means, stds)`` where means/stds are stacked per
         checkpoint.  Used by the sampling ablation to show the 1/sqrt(M)
-        decay of eq. (6).
+        decay of eq. (6).  The model is evaluated as in :meth:`run`.
         """
         uniform_points = random_sampler(num_samples, self.dimension, seed)
         parameters = map_to_distributions(uniform_points, self.distributions)
@@ -243,8 +240,8 @@ class MonteCarloStudy:
         checkpoints = sorted({max(2, int(c)) for c in checkpoints})
         statistics = RunningStatistics()
         counts, means, stds = [], [], []
-        for index in range(parameters.shape[0]):
-            statistics.update(np.asarray(self.model(parameters[index])))
+        for output in self._outputs(parameters):
+            statistics.update(output)
             if statistics.count in checkpoints:
                 counts.append(statistics.count)
                 means.append(statistics.mean)

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.coupled.electrothermal import BlockedCoupledSolver, CoupledSolver
+from repro.coupled.electrothermal import (
+    _MAX_THERMAL_SOLVERS,
+    BlockedCoupledSolver,
+    CoupledSolver,
+)
 from repro.errors import ConvergenceError, SolverError
 from repro.solvers.time_integration import TimeGrid
 
@@ -279,19 +283,19 @@ class TestPerDtSolverReuse:
 
     def test_lru_bound_evicts_oldest(self):
         problem = build_wire_bridge_problem()
-        solver = CoupledSolver(problem, mode="fast", tolerance=1e-4,
-                               max_thermal_solvers=2)
+        solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
         state = problem.initial_temperatures()
-        for dt in (1.0, 0.5, 0.25):
+        steps = [1.0 / 2**k for k in range(_MAX_THERMAL_SOLVERS + 1)]
+        for dt in steps:
             solver.step_once(state, dt)
-        assert len(solver._fast_th_solvers) == 2
-        assert solver.thermal_solver_builds == 3
+        assert len(solver._fast_th_solvers) == _MAX_THERMAL_SOLVERS
+        assert solver.thermal_solver_builds == len(steps)
         # Re-solving the evicted dt rebuilds (bounded memory, correct
         # result), the cached ones do not.
-        solver.step_once(state, 0.25)
-        assert solver.thermal_solver_builds == 3
-        solver.step_once(state, 1.0)
-        assert solver.thermal_solver_builds == 4
+        solver.step_once(state, steps[-1])
+        assert solver.thermal_solver_builds == len(steps)
+        solver.step_once(state, steps[0])
+        assert solver.thermal_solver_builds == len(steps) + 1
 
     def test_statistics_report_cache_counters(self):
         from repro.solvers.cache import FactorizationCache
@@ -309,11 +313,6 @@ class TestPerDtSolverReuse:
         # el base (setup) + one thermal base missed the shared cache.
         assert stats["factorization_cache_misses"] == 2
         assert stats["factorization_cache_hits"] == 0
-
-    def test_invalid_max_thermal_solvers(self):
-        problem = build_wire_bridge_problem()
-        with pytest.raises(SolverError):
-            CoupledSolver(problem, mode="fast", max_thermal_solvers=0)
 
 
 class TestStatisticsWindow:

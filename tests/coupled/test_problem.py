@@ -59,6 +59,31 @@ class TestWireTopologyMultiSegment:
         assert topo.wire_temperatures(t)[0] == 350.0
         assert topo.wire_peak_temperatures(t)[0] == 1000.0
 
+    def test_observables_match_per_wire_loop(self):
+        """The gathered observables against a per-wire loop, for a state
+        and a sample block, over chains of unequal length."""
+        topo = WireTopology(
+            [_wire(0, 5, segments=3), _wire(2, 7), _wire(4, 9, segments=2)],
+            10,
+        )
+        block = np.random.default_rng(0).uniform(
+            300.0, 400.0, size=(topo.total_size, 4)
+        )
+        means = np.array([
+            [stamp.average_value(state) for stamp in topo.endpoint_stamps]
+            for state in block.T
+        ]).T
+        peaks = np.array([
+            [np.max(state[chain]) for chain in topo.wire_nodes]
+            for state in block.T
+        ]).T
+        assert np.array_equal(topo.wire_temperatures(block), means)
+        assert np.array_equal(topo.wire_peak_temperatures(block), peaks)
+        assert np.array_equal(topo.wire_temperatures(block[:, 1]),
+                              means[:, 1])
+        assert np.array_equal(topo.wire_peak_temperatures(block[:, 1]),
+                              peaks[:, 1])
+
     def test_extra_heat_capacities(self):
         wire = _wire(0, 5, segments=4)
         topo = WireTopology([wire], 10)

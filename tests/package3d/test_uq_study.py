@@ -304,10 +304,34 @@ class TestBlockedEvaluation:
         assert callable(model.evaluate_block)
         assert model.__self__ is tiny_study
 
-    def test_run_monte_carlo_block_size(self, tiny_study):
-        blocked = tiny_study.run_monte_carlo(
-            num_samples=5, seed=3, block_size=2
+    def test_run_monte_carlo_matches_per_sample_rows(self, tiny_study):
+        """M = 11 leaves an uneven last block of the blocked study."""
+        result = tiny_study.run_monte_carlo(num_samples=11, seed=3)
+        rows = np.stack([
+            tiny_study.evaluate_traces(deltas)
+            for deltas in result.mc_result.parameters
+        ])
+        assert result.num_samples == 11
+        assert np.max(np.abs(result.mean - np.mean(rows, axis=0))) < 1e-12
+        assert np.max(
+            np.abs(result.std - np.std(rows, axis=0, ddof=1))
+        ) < 1e-12
+
+    @pytest.mark.parametrize(
+        "options", [{"num_segments": 3}, {"time_stepping": "adaptive"}],
+        ids=["three-segment", "adaptive"],
+    )
+    def test_run_monte_carlo_without_block_evaluator(self, options):
+        from repro.package3d.chip_example import Date16Parameters
+
+        study = Date16UncertaintyStudy(
+            parameters=Date16Parameters(end_time=10.0, num_time_points=6),
+            resolution=(0.9e-3, 0.4e-3),
+            tolerance=1e-3,
+            **options,
         )
-        plain = tiny_study.run_monte_carlo(num_samples=5, seed=3)
-        assert np.array_equal(blocked.mean, plain.mean)
-        assert np.array_equal(blocked.std, plain.std)
+        assert not hasattr(study.block_model(), "evaluate_block")
+        result = study.run_monte_carlo(num_samples=2, seed=0)
+        assert result.mean.shape == (6, 12)
+        assert np.all(np.isfinite(result.std))
+        assert study.evaluations == 2

@@ -115,26 +115,64 @@ def _linear_block(parameters_block):
     return np.stack([_linear_model(row) for row in parameters_block])
 
 
+class _CountingBlockModel:
+    """A model with ``evaluate_block`` that records every call."""
+
+    def __init__(self):
+        self.row_calls = 0
+        self.block_sizes = []
+
+    def __call__(self, parameters):
+        self.row_calls += 1
+        return _linear_model(parameters)
+
+    def evaluate_block(self, parameters_block):
+        self.block_sizes.append(parameters_block.shape[0])
+        return _linear_block(parameters_block)
+
+
 class TestBlockedEvaluation:
-    def test_block_size_matches_per_sample_run(self):
+    """One evaluation path: blocks when the model has ``evaluate_block``,
+    rows otherwise -- no caller option picks between them."""
+
+    def test_blocked_run_matches_plain_run(self):
         from repro.uq.monte_carlo import BlockedModel
 
         dist = UniformDistribution(0.0, 1.0)
         model = BlockedModel(_linear_model, _linear_block)
         blocked = MonteCarloStudy(model, dist, 3)
         plain = MonteCarloStudy(_linear_model, dist, 3)
-        a = blocked.run(50, seed=5, block_size=8, keep_samples=True)
+        a = blocked.run(50, seed=5, keep_samples=True)
         b = plain.run(50, seed=5, keep_samples=True)
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.mean, b.mean)
+
+    def test_evaluate_block_called_per_block_of_eight(self):
+        model = _CountingBlockModel()
+        study = MonteCarloStudy(model, UniformDistribution(0, 1), 2)
+        result = study.run(19, seed=0)
+        assert model.block_sizes == [8, 8, 3]  # ceil(19 / 8) calls
+        assert model.row_calls == 0
+        assert result.num_samples == 19
+
+    def test_plain_callable_runs_row_by_row(self):
+        calls = []
+
+        def model(parameters):
+            calls.append(parameters.shape)
+            return _linear_model(parameters)
+
+        study = MonteCarloStudy(model, UniformDistribution(0, 1), 2)
+        study.run(5, seed=0)
+        assert calls == [(2,)] * 5
 
     def test_uneven_tail_block(self):
         from repro.uq.monte_carlo import BlockedModel
 
         model = BlockedModel(_linear_model, _linear_block)
         study = MonteCarloStudy(model, UniformDistribution(0, 1), 2)
-        result = study.run(7, seed=0, block_size=3, keep_samples=True)
-        assert result.samples.shape == (7, 1)
+        result = study.run(11, seed=0, keep_samples=True)
+        assert result.samples.shape == (11, 1)
 
     def test_callback_sees_sample_order(self):
         from repro.uq.monte_carlo import BlockedModel
@@ -142,22 +180,20 @@ class TestBlockedEvaluation:
         calls = []
         model = BlockedModel(_linear_model, _linear_block)
         study = MonteCarloStudy(model, UniformDistribution(0, 1), 1)
-        study.run(5, seed=0, block_size=2,
+        study.run(11, seed=0,
                   callback=lambda i, p, o: calls.append(i))
-        assert calls == [0, 1, 2, 3, 4]
+        assert calls == list(range(11))
 
-    def test_block_size_requires_evaluate_block(self):
-        study = MonteCarloStudy(_linear_model, UniformDistribution(0, 1), 1)
-        with pytest.raises(SamplingError, match="evaluate_block"):
-            study.run(4, seed=0, block_size=2)
-
-    def test_block_size_validated(self):
-        from repro.uq.monte_carlo import BlockedModel
-
-        model = BlockedModel(_linear_model, _linear_block)
-        study = MonteCarloStudy(model, UniformDistribution(0, 1), 1)
-        with pytest.raises(SamplingError, match="block_size"):
-            study.run(4, seed=0, block_size=0)
+    def test_convergence_trace_uses_evaluate_block(self):
+        model = _CountingBlockModel()
+        blocked = MonteCarloStudy(model, UniformDistribution(0, 1), 2)
+        plain = MonteCarloStudy(_linear_model, UniformDistribution(0, 1), 2)
+        a = blocked.convergence_trace(20, seed=1, checkpoints=[5, 20])
+        b = plain.convergence_trace(20, seed=1, checkpoints=[5, 20])
+        assert model.block_sizes == [8, 8, 4]
+        assert model.row_calls == 0
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_wrong_output_count_rejected(self):
         from repro.uq.monte_carlo import BlockedModel
@@ -167,7 +203,9 @@ class TestBlockedEvaluation:
         )
         study = MonteCarloStudy(model, UniformDistribution(0, 1), 1)
         with pytest.raises(SamplingError, match="outputs"):
-            study.run(4, seed=0, block_size=4)
+            study.run(4, seed=0)
+        with pytest.raises(SamplingError, match="outputs"):
+            study.convergence_trace(4, seed=0)
 
     def test_blocked_model_validates_callables(self):
         from repro.uq.monte_carlo import BlockedModel
