@@ -102,7 +102,7 @@ def test_fig7_paper_parameters(benchmark, uq_study):
 
 def test_fig7_stress_variant(benchmark):
     """Elevated drive voltage: reproduces the Fig. 7 crossing picture."""
-    num_samples = max(10, fig7_samples() // 2)
+    num_samples = fig7_samples()
     parameters = Date16Parameters(pair_voltage=0.118)
     study = Date16UncertaintyStudy(
         parameters=parameters, resolution=bench_resolution(), tolerance=1e-3

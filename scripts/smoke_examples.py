@@ -35,7 +35,6 @@ _TINY_ENV = {
     "REPRO_MESH_RESOLUTIONS": "coarse",
 }
 _OVERRIDES = {
-    "adaptive_stepping.py": {"argv": ["2.0"]},
     "pce_surrogate_campaign.py": {"argv": ["330"]},
     "second_order_campaign.py": {"argv": ["8", "2"]},
     "sensitivity_campaign.py": {"argv": ["2", "2"]},

@@ -224,20 +224,6 @@ def _build_parser():
     spec.add_argument("--chunk-size", type=int, default=8)
     spec.add_argument("--resolution", default="coarse",
                       help="mesh preset for field problems")
-    spec.add_argument("--time-stepping", choices=("fixed", "adaptive"),
-                      default=None,
-                      help="transient integration of the field problem "
-                           "(default: the paper's fixed 51-point grid)")
-    spec.add_argument("--adaptive-tolerance", type=float, default=None,
-                      metavar="K",
-                      help="local-error tolerance per adaptive step "
-                           "(with --time-stepping adaptive; default 1.0)")
-    spec.add_argument("--quantize-dt", action=argparse.BooleanOptionalAction,
-                      default=None,
-                      help="snap adaptive steps onto the geometric dt "
-                           "ladder so per-dt factorizations amortize "
-                           "(default: on; --no-quantize-dt restores the "
-                           "raw controller)")
     spec.add_argument("--reducer", default=None, metavar="KIND",
                       help="pin a reducer kind into the spec (e.g. pce)")
     spec.add_argument("--pce-degree", type=int, default=None, metavar="P",
@@ -775,21 +761,11 @@ def _dispatch(arguments):
             raise CampaignError(
                 "--pce-degree needs --reducer pce"
             )
-        if (arguments.time_stepping != "adaptive"
-                and (arguments.adaptive_tolerance is not None
-                     or arguments.quantize_dt is not None)):
-            raise CampaignError(
-                "--adaptive-tolerance/--quantize-dt need "
-                "--time-stepping adaptive"
-            )
         spec = date16_campaign_spec(
             num_samples=arguments.samples,
             seed=arguments.seed,
             chunk_size=arguments.chunk_size,
             resolution=arguments.resolution,
-            time_stepping=arguments.time_stepping,
-            adaptive_tolerance=arguments.adaptive_tolerance,
-            quantize_dt=arguments.quantize_dt,
             reducer=reducer,
         )
         spec.save(arguments.output)

@@ -57,11 +57,9 @@ from .electrical import embed_grid_matrix
 from .quantities import StationaryResult, TransientResult
 
 _MODES = ("full", "fast")
-#: Fast-mode bound on the per-``dt`` thermal solver map.  Adaptive step
-#: doubling alternates between ``dt`` and ``dt/2`` within one attempt,
-#: so the map must hold the handful of distinct step sizes in flight (a
-#: quantized-dt ladder fits comfortably); the least recently used solver
-#: is evicted first.
+#: Fast-mode bound on the per-``dt`` thermal solver map; the least
+#: recently used solver is evicted first (see
+#: :meth:`CoupledSolver._fast_thermal_step`).
 _MAX_THERMAL_SOLVERS = 8
 
 
@@ -368,10 +366,13 @@ class CoupledSolver:
     def _fast_thermal_step(self, dt):
         """The per-dt :class:`_ThermalStep` (bounded LRU map).
 
-        Adaptive step doubling alternates ``dt`` and ``dt/2`` inside
-        every attempt; a single-slot memo would rebuild (and
-        re-fingerprint) the base on each alternation, so the map keeps
-        the last ``_MAX_THERMAL_SOLVERS`` distinct step sizes alive.
+        A fixed grid has one ``dt``, so every step of every transient on
+        that grid reuses one entry.  A solver that alternates between
+        grids -- a coarse and a refined grid of a two-level time
+        estimator, or the step sizes of a convergence study -- would
+        rebuild (and re-fingerprint) the base on each switch with a
+        single-slot memo, so the map keeps the last
+        ``_MAX_THERMAL_SOLVERS`` distinct step sizes alive.
         """
         key = float(dt)
         step = self._fast_th_solvers.get(key)
@@ -424,9 +425,9 @@ class CoupledSolver:
 
         ``thermal_solver_builds`` counts fast-mode per-dt solver
         constructions (each pays a base-matrix assembly, a fingerprint
-        and -- on a factorization-cache miss -- an ``splu``); with the
-        quantized-dt adaptive controller it stays O(#ladder rungs)
-        instead of O(#solves).  Factorization-cache hit/miss counters
+        and -- on a factorization-cache miss -- an ``splu``); it stays
+        at the number of distinct step sizes, not the number of
+        solves.  Factorization-cache hit/miss counters
         are included when a cache is attached.
 
         All counters report the current statistics window -- the delta
@@ -804,33 +805,6 @@ class CoupledSolver:
         telemetry.increment("solver.fixed_point_iterations",
                             int(outputs[1].sum()))
         return outputs
-
-    def step_once(self, temperatures, dt, drive_scale=1.0, guess=None):
-        """One implicit Euler step of the coupled system; the new state.
-
-        The public stepping hook for external time-step controllers
-        (e.g. :func:`repro.solvers.adaptive.adaptive_implicit_euler`,
-        whose ``step_function(state, dt)`` signature this matches with
-        the default constant drive).  Uses the same fixed-point step as
-        :meth:`solve_transient`, on the state as a one-column block;
-        ``drive_scale`` scales the contact potentials for this step
-        (callers integrating a waveform evaluate it at the step's new
-        time level themselves).  ``guess`` warm-starts the fixed point
-        (e.g. the adaptive controller's linear predictor) -- the
-        converged solution is the same within the fixed-point tolerance,
-        just cheaper to reach.
-        """
-        self._el_scale = float(drive_scale)
-        try:
-            new_state = self._step(
-                np.asarray(temperatures, dtype=float)[:, None], float(dt),
-                self._bound_lengths(),
-                guess=None if guess is None
-                else np.asarray(guess, dtype=float)[:, None],
-            )[0]
-        finally:
-            self._el_scale = 1.0
-        return new_state[:, 0]
 
     def _integrate(self, time_grid, lengths, waveform=None,
                    store_fields=False):

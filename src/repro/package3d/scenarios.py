@@ -30,26 +30,23 @@ from .uq_study import Date16UncertaintyStudy
 
 #: Builder options understood by :func:`build_date16_model` beyond the
 #: :class:`Date16Parameters` overrides nested under ``"parameters"``.
-#: ``time_stepping: "adaptive"`` switches the transient to step-doubling
-#: implicit Euler (``adaptive_tolerance`` kelvin of local error per
-#: step), interpolated back onto the paper's fixed 51-point grid;
-#: ``quantize_dt`` (default true) snaps the controller onto the
-#: geometric dt ladder so per-dt factorizations amortize, and the nested
-#: ``adaptive_options`` dict forwards the remaining controller knobs
-#: (``initial_dt``, ``min_dt``, ``max_dt``, ``safety``,
-#: ``accept_min_dt_steps``).
+#: The transient always runs on the paper's fixed implicit Euler grid
+#: (``Date16Parameters.end_time`` / ``num_time_points``).
 _STUDY_OPTIONS = (
     "resolution", "mode", "num_segments", "truncate_elongation", "tolerance",
-    "time_stepping", "adaptive_tolerance", "quantize_dt", "adaptive_options",
 )
 
 
-def _drop_removed_array_backend(options):
-    """Accept the ``array_backend`` option of older specs and stores.
+def _drop_removed_options(options):
+    """Accept the removed options of older specs, stores and queued jobs.
 
-    Scenarios once pinned the solvers' array backend; numpy is the only
-    linear-algebra path now, so a pinned ``"numpy"`` is dropped and any
-    other pin is refused rather than silently run on numpy.
+    Scenarios once pinned the solvers' array backend and could switch
+    the transient to adaptive stepping.  numpy is the only
+    linear-algebra path and the fixed grid the only transient now, so a
+    pinned ``"numpy"`` backend or ``"fixed"`` stepping (with any stray
+    adaptive controller keys, which never had an effect under it) is
+    dropped, and any other pin is refused rather than silently run on
+    the remaining path.
     """
     backend = options.pop("array_backend", "numpy")
     if backend != "numpy":
@@ -58,6 +55,16 @@ def _drop_removed_array_backend(options):
             f"backends were removed: the solvers run on numpy only; drop "
             f"the option or set it to 'numpy'"
         )
+    stepping = options.pop("time_stepping", "fixed")
+    if stepping != "fixed":
+        raise CampaignError(
+            f"date16 scenario asks for time_stepping {stepping!r}, but "
+            f"adaptive time stepping was removed: every transient runs on "
+            f"the paper's fixed implicit Euler grid; drop the option or "
+            f"set it to 'fixed'"
+        )
+    for name in ("adaptive_tolerance", "quantize_dt", "adaptive_options"):
+        options.pop(name, None)
 
 
 def build_date16_model(scenario):
@@ -71,7 +78,7 @@ def build_date16_model(scenario):
     """
     options = dict(scenario.options)
     overrides = options.pop("parameters", None) or {}
-    _drop_removed_array_backend(options)
+    _drop_removed_options(options)
     unknown = set(options) - set(_STUDY_OPTIONS)
     if unknown:
         raise CampaignError(
@@ -94,9 +101,9 @@ def build_date16_model(scenario):
         **options,
     )
     # The blocked model evaluates a whole campaign chunk as one blocked
-    # transient when the study supports it (fixed stepping, fast mode,
-    # single-segment wires); otherwise the plain per-sample callable
-    # keeps the executor on the row loop.
+    # transient when the study supports it (fast mode, single-segment
+    # wires); otherwise the plain per-sample callable keeps the executor
+    # on the row loop.
     return study.block_model()
 
 
@@ -144,10 +151,6 @@ def date16_campaign_spec(
     name=None,
     parameters=None,
     waveform=None,
-    time_stepping=None,
-    adaptive_tolerance=None,
-    quantize_dt=None,
-    adaptive_options=None,
     reducer=None,
 ):
     """A ready-to-run :class:`~repro.campaign.spec.CampaignSpec`.
@@ -156,25 +159,13 @@ def date16_campaign_spec(
     temperature traces as QoI) at a campaign-friendly sample count.
     Custom ``parameters`` shape both the sampling distribution *and*
     the worker-side problem (serialized into the scenario options).
-    ``time_stepping="adaptive"`` switches the workers to the adaptive
-    transient (quantized onto the dt ladder by default;
-    ``quantize_dt=False`` opts back into the raw controller, and
-    ``adaptive_tolerance`` / ``adaptive_options`` tune it); ``reducer``
-    pins a reduction into the spec (e.g. ``{"kind": "pce", "degree":
-    3}`` for the surrogate mode).
+    ``reducer`` pins a reduction into the spec (e.g. ``{"kind": "pce",
+    "degree": 3}`` for the surrogate mode).
     """
     from ..campaign.spec import CampaignSpec, ScenarioSpec
 
     p = parameters if parameters is not None else Date16Parameters()
     options = {"resolution": resolution}
-    if time_stepping is not None:
-        options["time_stepping"] = str(time_stepping)
-    if adaptive_tolerance is not None:
-        options["adaptive_tolerance"] = float(adaptive_tolerance)
-    if quantize_dt is not None:
-        options["quantize_dt"] = bool(quantize_dt)
-    if adaptive_options is not None:
-        options["adaptive_options"] = dict(adaptive_options)
     if parameters is not None:
         options["parameters"] = date16_parameter_overrides(p)
     scenario = ScenarioSpec(

@@ -152,45 +152,7 @@ class Date16UncertaintyStudy:
     factorization_cache:
         Optional shared :class:`~repro.solvers.cache.FactorizationCache`
         for the fast-path base LUs (campaign worker reuse).
-    time_stepping:
-        ``"fixed"`` (default: the paper's uniform 51-point grid) or
-        ``"adaptive"`` -- step-doubling implicit Euler
-        (:func:`repro.solvers.adaptive.adaptive_implicit_euler`)
-        controlled by ``adaptive_tolerance``, with the accepted states
-        interpolated back onto the fixed grid so every QoI keeps its
-        ``(P, W)`` shape.  Adaptive stepping supports the constant
-        drive only (the step controller owns the time axis).
-    adaptive_tolerance:
-        Local-error tolerance [K] per adaptive step (default 1.0 -- the
-        ROADMAP's operating point: ~1 K of local error keeps the
-        interpolated traces within a fraction of a kelvin of the fixed
-        grid at roughly half its solve count).
-    quantize_dt:
-        Adaptive mode only: snap every proposed step onto the geometric
-        ladder :func:`repro.solvers.adaptive.dt_ladder` (default
-        ``True``), so the per-dt thermal factorizations stay O(#ladder
-        rungs) and the adaptive path beats the fixed grid on wall-clock
-        even on a cold factorization cache.  ``False`` restores the raw
-        controller (one fresh dt -- and factorization -- per update).
-    adaptive_options:
-        Optional dict of further :func:`adaptive_implicit_euler`
-        controls: ``initial_dt`` (default: twice the fixed grid's dt,
-        so the first-step doubling's half step lands ON the grid dt's
-        ladder rung), ``min_dt`` (default 1e-3 s), ``max_dt``,
-        ``safety``,
-        ``accept_min_dt_steps`` and ``error_estimate`` (default
-        ``"predictor"``: one coupled solve per attempted step with the
-        divided-difference LTE estimate and a warm-started fixed point;
-        ``"doubling"`` restores the three-solves-per-step doubling
-        estimate).
     """
-
-    #: ``adaptive_options`` keys forwarded to
-    #: :func:`repro.solvers.adaptive.adaptive_implicit_euler`.
-    _ADAPTIVE_OPTIONS = (
-        "initial_dt", "min_dt", "max_dt", "safety", "accept_min_dt_steps",
-        "error_estimate",
-    )
 
     def __init__(
         self,
@@ -202,10 +164,6 @@ class Date16UncertaintyStudy:
         tolerance=1.0e-3,
         waveform=None,
         factorization_cache=None,
-        time_stepping="fixed",
-        adaptive_tolerance=1.0,
-        quantize_dt=True,
-        adaptive_options=None,
     ):
         self.parameters = parameters if parameters is not None else Date16Parameters()
         problem, mesh = build_date16_problem(
@@ -233,39 +191,6 @@ class Date16UncertaintyStudy:
             self.elongation_distribution = NormalDistribution(mu, sigma)
         self.num_wires = len(problem.wires)
         self.evaluations = 0
-        self.time_stepping = str(time_stepping)
-        if self.time_stepping not in ("fixed", "adaptive"):
-            raise SamplingError(
-                f"time_stepping must be 'fixed' or 'adaptive', got "
-                f"{time_stepping!r}"
-            )
-        if self.time_stepping == "adaptive" and waveform is not None:
-            raise SamplingError(
-                "adaptive time stepping supports the constant drive only "
-                "(the step controller owns the time axis); drop the "
-                "waveform or use fixed stepping"
-            )
-        self.adaptive_tolerance = float(adaptive_tolerance)
-        self.quantize_dt = bool(quantize_dt)
-        options = dict(adaptive_options) if adaptive_options else {}
-        unknown = set(options) - set(self._ADAPTIVE_OPTIONS)
-        if unknown:
-            raise SamplingError(
-                f"unknown adaptive_options {sorted(unknown)}; expected a "
-                f"subset of {sorted(self._ADAPTIVE_OPTIONS)}"
-            )
-        # Starting two grid-steps up keeps the first-step doubling's
-        # half step ON the fixed grid's dt, so the quantized ladder
-        # visits one rung fewer on a cold cache.
-        options.setdefault("initial_dt", 2.0 * self.time_grid.dt)
-        options.setdefault("min_dt", 1.0e-3)
-        options.setdefault("error_estimate", "predictor")
-        self.adaptive_options = options
-        #: The :class:`~repro.solvers.adaptive.AdaptiveStepResult` of the
-        #: most recent adaptive solve (``None`` before the first one) --
-        #: step/solve counts and solver reuse statistics for cost
-        #: comparisons against the fixed grid.
-        self.last_adaptive_result = None
         self._blocked_solver = None
 
     # ------------------------------------------------------------------
@@ -280,63 +205,11 @@ class Date16UncertaintyStudy:
             )
         lengths = wire_lengths_from_deltas(deltas, self.mesh.layout)
         self.solver.set_wire_lengths(lengths)
-        if self.time_stepping == "adaptive":
-            traces = self._solve_adaptive_traces()
-        else:
-            result = self.solver.solve_transient(
-                self.time_grid, waveform=self.waveform
-            )
-            traces = result.wire_temperatures
+        result = self.solver.solve_transient(
+            self.time_grid, waveform=self.waveform
+        )
         self.evaluations += 1
-        return traces
-
-    def _solve_adaptive_traces(self):
-        """One adaptive transient, interpolated onto the fixed grid.
-
-        Integrates with controller-driven implicit Euler (the default
-        predictor estimate costs one coupled solve per attempted step;
-        step doubling three) and linearly interpolates the accepted
-        wire temperatures onto the paper's 51-point axis, so downstream
-        statistics see the exact same shapes as the fixed-grid path.
-        Wire lengths must already be set on the solver.
-
-        The coupled fixed point runs at ``max(tolerance,
-        adaptive_tolerance / 100)`` inside the integration: iterating
-        the nonlinear coupling to far below the local error the
-        controller deliberately admits wastes iterations on noise the
-        step controller cannot see.
-        """
-        from ..solvers.adaptive import adaptive_implicit_euler
-
-        base_tolerance = self.solver.tolerance
-        self.solver.tolerance = max(base_tolerance,
-                                    0.01 * self.adaptive_tolerance)
-        self.solver.begin_statistics_window()
-        try:
-            result = adaptive_implicit_euler(
-                self.solver.step_once,
-                self.problem.initial_temperatures(),
-                end_time=self.parameters.end_time,
-                tolerance=self.adaptive_tolerance,
-                quantize_dt=self.quantize_dt,
-                **self.adaptive_options,
-            )
-        finally:
-            self.solver.tolerance = base_tolerance
-        # ``solver_statistics()`` reports the statistics window opened
-        # above, so this is exactly one integration's cost -- stable
-        # across repeated evaluations and shared caches.
-        result.solver_stats = self.solver.solver_statistics()
-        self.last_adaptive_result = result
-        wire_traces = np.stack([
-            self.solver.topology.wire_temperatures(state)
-            for state in result.states
-        ])
-        times = self.time_grid.times
-        return np.column_stack([
-            np.interp(times, result.times, wire_traces[:, wire])
-            for wire in range(wire_traces.shape[1])
-        ])
+        return result.wire_temperatures
 
     def evaluate_end_max(self, deltas):
         """Scalar model for sensitivity studies: hottest end temperature."""
@@ -349,14 +222,11 @@ class Date16UncertaintyStudy:
     def supports_block_evaluation(self):
         """Whether :meth:`evaluate_traces_block` applies to this study.
 
-        The blocked fast path needs the fast (Woodbury) solver mode,
-        single-segment wires and fixed time stepping -- the adaptive
-        controller gives every sample its own solution-dependent time
-        axis, which cannot share one blocked grid.
+        The blocked fast path needs the fast (Woodbury) solver mode and
+        single-segment wires.
         """
         return (
-            self.time_stepping == "fixed"
-            and self.solver.mode == "fast"
+            self.solver.mode == "fast"
             and self.solver.topology.num_extra_nodes == 0
         )
 
@@ -379,8 +249,8 @@ class Date16UncertaintyStudy:
             )
         if not self.supports_block_evaluation:
             raise SamplingError(
-                "blocked evaluation needs fast mode, single-segment wires "
-                "and fixed time stepping; use evaluate_traces per sample"
+                "blocked evaluation needs fast mode and single-segment "
+                "wires; use evaluate_traces per sample"
             )
         lengths = np.stack([
             wire_lengths_from_deltas(row, self.mesh.layout)
@@ -401,7 +271,8 @@ class Date16UncertaintyStudy:
         A :class:`~repro.uq.monte_carlo.BlockedModel` pairing
         :meth:`evaluate_traces` with :meth:`evaluate_traces_block` when
         the blocked fast path applies; the plain bound method otherwise
-        (callers fall back to the per-sample loop).
+        (full mode or multi-segment wires: callers fall back to the
+        per-sample loop).
         """
         if self.supports_block_evaluation:
             return BlockedModel(
@@ -417,11 +288,11 @@ class Date16UncertaintyStudy:
         """The paper's study; returns a :class:`Date16StudyResult`.
 
         Runs :meth:`block_model` through
-        :meth:`~repro.uq.monte_carlo.MonteCarloStudy.run`: fixed-step,
-        fast-mode, single-segment studies evaluate in sample blocks
-        through :meth:`evaluate_traces_block`; adaptive, full-mode and
-        multi-segment studies have no block evaluator and run one
-        sample at a time.  Samples fold in sample order either way.
+        :meth:`~repro.uq.monte_carlo.MonteCarloStudy.run`: fast-mode,
+        single-segment studies evaluate in sample blocks through
+        :meth:`evaluate_traces_block`; full-mode and multi-segment
+        studies have no block evaluator and run one sample at a time.
+        Samples fold in sample order either way.
         """
         if num_samples is None:
             num_samples = self.parameters.num_mc_samples

@@ -5,7 +5,6 @@ text/CSV artifacts; this package holds the shared formatting code.
 """
 
 from .campaign import (
-    format_adaptive_summary,
     format_campaign_comparison,
     format_campaign_summary,
 )
@@ -17,7 +16,6 @@ from .telemetry import format_timings_report, format_trace_summary
 from .vtk import write_rectilinear_vtk
 
 __all__ = [
-    "format_adaptive_summary",
     "format_campaign_summary",
     "format_campaign_comparison",
     "format_sensitivity_summary",

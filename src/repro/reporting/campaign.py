@@ -77,48 +77,6 @@ def format_partial_summary(summary, title=None):
     return format_table(("Quantity", "Value"), rows, title=title)
 
 
-#: Row order and labels of the adaptive-stepping table; keys match
-#: :meth:`repro.solvers.adaptive.AdaptiveStepResult.statistics` merged
-#: with :meth:`repro.coupled.electrothermal.CoupledSolver
-#: .solver_statistics`.
-_ADAPTIVE_ROWS = (
-    ("accepted", "Accepted steps"),
-    ("rejected", "Rejected steps"),
-    ("num_solves", "Coupled solves"),
-    ("num_distinct_solver_dts", "Distinct solver dt"),
-    ("dt_min", "min dt [s]"),
-    ("dt_max", "max dt [s]"),
-    ("num_min_dt_violations", "min_dt violations"),
-    ("thermal_solver_builds", "Thermal solver builds"),
-    ("thermal_solvers_cached", "Thermal solvers cached"),
-    ("factorization_cache_entries", "LU cache entries"),
-    ("factorization_cache_hits", "LU cache hits"),
-    ("factorization_cache_misses", "LU cache misses"),
-)
-
-
-def format_adaptive_summary(result, title=None):
-    """ASCII cost table of one adaptive integration.
-
-    ``result`` is an :class:`~repro.solvers.adaptive.AdaptiveStepResult`
-    (with ``solver_stats`` attached by the study, when available) or an
-    already-built statistics dict.  The table is what makes the dt
-    quantization visible: the factorization count (thermal solver
-    builds / LU cache misses) stays at the ladder-rung count instead of
-    growing with the solve count.
-    """
-    stats = dict(result) if isinstance(result, dict) else result.statistics()
-    rows = []
-    for key, label in _ADAPTIVE_ROWS:
-        if key in stats:
-            rows.append((label, _format_value(stats.pop(key))))
-    for key in sorted(stats):
-        rows.append((key, _format_value(stats[key])))
-    return format_table(
-        ("Quantity", "Value"), rows, title=title or "Adaptive stepping"
-    )
-
-
 def format_campaign_comparison(summaries, title=None):
     """Side-by-side table of several campaign summaries.
 

@@ -10,16 +10,13 @@
   shared by solvers rebuilt in one process (the campaign worker pattern),
 * :mod:`repro.solvers.newton` -- fixed-point (successive substitution) and
   Newton iterations with damping,
-* :mod:`repro.solvers.time_integration` -- implicit Euler / theta-method
-  steppers for the transient heat equation.
+* :mod:`repro.solvers.time_integration` -- the fixed time grid and the
+  implicit Euler / theta-method steppers for the transient heat
+  equation.  Every coupled transient runs implicit Euler on a fixed
+  :class:`TimeGrid` (the paper's 51 points over 50 s); there is no
+  step-size controller.
 """
 
-from .adaptive import (
-    AdaptiveStepResult,
-    adaptive_implicit_euler,
-    dt_ladder,
-    snap_to_ladder,
-)
 from .cache import FactorizationCache, matrix_fingerprint, shared_cache
 from .linear import LinearSolver, solve_sparse
 from .newton import FixedPointResult, fixed_point, newton_raphson
@@ -39,8 +36,4 @@ __all__ = [
     "ThetaMethod",
     "TimeGrid",
     "WoodburySolver",
-    "adaptive_implicit_euler",
-    "AdaptiveStepResult",
-    "dt_ladder",
-    "snap_to_ladder",
 ]

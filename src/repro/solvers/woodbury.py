@@ -128,25 +128,6 @@ class WoodburySolver:
             )
         return rhs
 
-    def solve(self, conductances, rhs):
-        """Solve for one set of per-stamp conductances ``g`` (length k).
-
-        ``rhs`` is either one vector ``(n,)`` or a multi-RHS block
-        ``(n, m)`` sharing the same conductances -- the solution has the
-        same shape.  This is the one-sample case of :meth:`solve_batch`.
-        Zero conductances drop their stamp; negative ones are rejected as
-        non-physical.
-        """
-        conductances = self._check_conductances(
-            np.asarray(conductances, dtype=float).reshape(1, -1)
-        )
-        rhs = self._check_rhs(rhs)
-        if rhs.ndim == 1:
-            return self._solve(conductances, rhs)[:, 0]
-        return self._solve(
-            np.repeat(conductances, rhs.shape[1], axis=0), rhs
-        )
-
     def solve_batch(self, conductances, rhs):
         """Sample-blocked solve: ``(S, k)`` conductances in one pass.
 

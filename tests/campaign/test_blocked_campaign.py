@@ -57,6 +57,13 @@ def _tiny_spec(num_samples=14, chunk_size=7, **kwargs):
     )
 
 
+def _segmented_spec(num_samples, chunk_size):
+    """A three-segment-wire spec: no block evaluator, so the row loop."""
+    spec = _tiny_spec(num_samples=num_samples, chunk_size=chunk_size)
+    spec.scenario.options["num_segments"] = 3
+    return spec
+
+
 @pytest.fixture(scope="module")
 def golden():
     """Per-sample study outputs for the module's 14-sample design."""
@@ -150,16 +157,69 @@ class TestLegacyBackendPin:
         assert store.completed_chunks() == []
 
 
-class TestAdaptiveFallback:
-    def test_adaptive_scenario_has_no_block_interface(self):
-        spec = _tiny_spec(num_samples=2, chunk_size=2,
-                          time_stepping="adaptive")
+class TestRemovedTimeStepping:
+    """Specs and stores written when scenarios could pick adaptive
+    time stepping."""
+
+    @staticmethod
+    def _run(spec, path):
+        result = run_campaign(spec, store=path)
+        return result, ArtifactStore(path).read_summary()
+
+    def test_pinned_fixed_stepping_is_bitwise_unchanged(self, tmp_path):
+        # The benchmark's date16 workload pins exactly these options.
+        plain = _tiny_spec(num_samples=2, chunk_size=2)
+        plain.scenario.options.update({"resolution": "coarse",
+                                       "mode": "fast"})
+        pinned = _tiny_spec(num_samples=2, chunk_size=2)
+        pinned.scenario.options.update({"resolution": "coarse",
+                                        "mode": "fast",
+                                        "time_stepping": "fixed"})
+        reference, reference_summary = self._run(plain, tmp_path / "plain")
+        result, summary = self._run(pinned, tmp_path / "pinned")
+        assert np.array_equal(result.mean, reference.mean)
+        assert np.array_equal(result.std, reference.std)
+        assert summary == reference_summary
+
+    def test_stray_adaptive_keys_under_fixed_stepping_run(self, tmp_path):
+        reference = run_campaign(_tiny_spec(num_samples=2, chunk_size=2),
+                                 store=tmp_path / "plain")
+        spec = _tiny_spec(num_samples=2, chunk_size=2)
+        spec.scenario.options.update({"quantize_dt": False,
+                                      "adaptive_tolerance": 0.5})
+        result = run_campaign(spec, store=tmp_path / "stray")
+        assert np.array_equal(result.mean, reference.mean)
+        assert np.array_equal(result.std, reference.std)
+
+    def test_adaptive_spec_is_refused_on_run(self, tmp_path):
+        from repro.errors import CampaignError
+
+        spec = _tiny_spec(num_samples=2, chunk_size=2)
+        spec.scenario.options["time_stepping"] = "adaptive"
+        with pytest.raises(CampaignError,
+                           match="adaptive time stepping was removed"):
+            run_campaign(spec, store=tmp_path / "store")
+
+    def test_adaptive_store_is_refused_on_resume(self, tmp_path):
+        from repro.errors import CampaignError
+
+        spec = _tiny_spec(num_samples=2, chunk_size=2)
+        spec.scenario.options["time_stepping"] = "adaptive"
+        store = ArtifactStore(tmp_path / "store").initialize(spec)
+        with pytest.raises(CampaignError,
+                           match="adaptive time stepping was removed"):
+            resume_campaign(store)
+        assert store.completed_chunks() == []
+
+
+class TestRowLoopFallback:
+    def test_segmented_scenario_has_no_block_interface(self):
+        spec = _segmented_spec(num_samples=2, chunk_size=2)
         model = resolve_model(spec.scenario)
         assert getattr(model, "evaluate_block", None) is None
 
-    def test_adaptive_campaign_runs_on_the_row_loop(self, tmp_path):
-        spec = _tiny_spec(num_samples=2, chunk_size=2,
-                          time_stepping="adaptive")
+    def test_segmented_campaign_runs_on_the_row_loop(self, tmp_path):
+        spec = _segmented_spec(num_samples=2, chunk_size=2)
         store = ArtifactStore(tmp_path / "store")
         result = run_campaign(spec, store=store, telemetry=True)
         assert result.mean.shape == (12,)
@@ -179,21 +239,21 @@ class TestAdaptiveFallback:
 
 
 class TestFixedPointTelemetry:
-    @pytest.mark.parametrize("time_stepping", ["fixed", "adaptive"])
-    def test_fixed_point_iterations_reported(self, tmp_path, time_stepping):
+    @pytest.mark.parametrize("num_segments", [1, 3],
+                             ids=["blocked", "row-loop"])
+    def test_fixed_point_iterations_reported(self, tmp_path, num_segments):
         from repro.reporting.telemetry import format_timings_report
 
-        spec = _tiny_spec(num_samples=4, chunk_size=2,
-                          time_stepping=time_stepping)
+        spec = _tiny_spec(num_samples=4, chunk_size=2)
+        spec.scenario.options["num_segments"] = num_segments
         store = ArtifactStore(tmp_path / "store")
         run_campaign(spec, store=store, telemetry=True)
         telemetry = store.read_telemetry()
         counters = telemetry["metrics"]["counters"]
         steps = counters["solver.coupled_steps"]
         iterations = counters["solver.fixed_point_iterations"]
-        if time_stepping == "fixed":
-            # 4 samples x 5 steps of the 6-point grid.
-            assert steps == 20
+        # 4 samples x 5 steps of the 6-point grid.
+        assert steps == 20
         assert iterations >= steps
         # Fast mode: every outer pass runs at least one port iteration.
         ports = counters["solver.port_iterations"]

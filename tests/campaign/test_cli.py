@@ -32,23 +32,14 @@ class TestSpecCommand:
         assert code == 2
         assert "no spec template" in capsys.readouterr().err
 
-    def test_adaptive_stepping_flags(self, tmp_path):
+    def test_removed_time_stepping_flag_fails(self, tmp_path, capsys):
         out = tmp_path / "adaptive.json"
-        code = main(["spec", "date16", "--time-stepping", "adaptive",
-                     "--adaptive-tolerance", "0.75", "--no-quantize-dt",
-                     "-o", str(out)])
-        assert code == 0
-        options = CampaignSpec.load(out).scenario.options
-        assert options["time_stepping"] == "adaptive"
-        assert options["adaptive_tolerance"] == 0.75
-        assert options["quantize_dt"] is False
-
-    def test_adaptive_flags_require_adaptive_stepping(self, tmp_path,
-                                                      capsys):
-        code = main(["spec", "date16", "--quantize-dt",
-                     "-o", str(tmp_path / "x.json")])
-        assert code == 1
-        assert "--time-stepping adaptive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["spec", "date16", "--time-stepping", "adaptive",
+                  "-o", str(out)])
+        assert exit_info.value.code != 0
+        assert "--time-stepping" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunCommand:

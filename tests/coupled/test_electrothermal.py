@@ -14,6 +14,11 @@ from repro.solvers.time_integration import TimeGrid
 from .conftest import MM, build_wire_bridge_problem
 
 
+def _one_step(solver, dt, **kwargs):
+    """One implicit Euler step of size ``dt`` from the initial state."""
+    return solver.solve_transient(TimeGrid(dt, 1), **kwargs)
+
+
 @pytest.fixture(scope="module")
 def bridge_transient():
     problem = build_wire_bridge_problem()
@@ -218,8 +223,7 @@ class TestStationary:
         problem = build_wire_bridge_problem()
         solver = CoupledSolver(problem, mode=mode, max_iterations=1)
         with pytest.raises(ConvergenceError):
-            solver.step_once(problem.initial_temperatures(), 1.0,
-                             drive_scale=0.5)
+            _one_step(solver, 1.0, waveform=0.5)
         fresh = CoupledSolver(problem, mode=mode, max_iterations=1)
         assert np.array_equal(solver.solve_stationary().temperatures,
                               fresh.solve_stationary().temperatures)
@@ -254,47 +258,33 @@ class TestStoreFields:
 
 
 class TestPerDtSolverReuse:
-    """The single-slot memo regression: adaptive step doubling
-    alternates dt and dt/2 on every attempt, so thermal solver builds
-    must be O(#distinct dt), not O(#solves)."""
+    """The single-slot memo regression: one solver alternating between
+    two grids (e.g. the levels of a two-level time estimator) must
+    build O(#distinct dt) thermal solvers, not O(#solves)."""
 
     def test_builds_scale_with_distinct_dts_not_solves(self):
         problem = build_wire_bridge_problem()
         solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
-        state = problem.initial_temperatures()
         # 5 alternation rounds over two step sizes.
         for _ in range(5):
-            state = solver.step_once(state, 0.5)
-            state = solver.step_once(state, 0.25)
+            _one_step(solver, 0.5)
+            _one_step(solver, 0.25)
         assert solver.num_steps == 10
         assert solver.thermal_solver_builds == 2
-
-    def test_adaptive_integration_builds_per_rung(self):
-        from repro.solvers.adaptive import adaptive_implicit_euler
-
-        problem = build_wire_bridge_problem()
-        solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
-        result = adaptive_implicit_euler(
-            solver.step_once, problem.initial_temperatures(),
-            end_time=10.0, initial_dt=0.5, tolerance=0.2, quantize_dt=True,
-        )
-        assert solver.thermal_solver_builds == result.num_distinct_solver_dts
-        assert solver.thermal_solver_builds < result.num_solves
 
     def test_lru_bound_evicts_oldest(self):
         problem = build_wire_bridge_problem()
         solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
-        state = problem.initial_temperatures()
         steps = [1.0 / 2**k for k in range(_MAX_THERMAL_SOLVERS + 1)]
         for dt in steps:
-            solver.step_once(state, dt)
+            _one_step(solver, dt)
         assert len(solver._fast_th_solvers) == _MAX_THERMAL_SOLVERS
         assert solver.thermal_solver_builds == len(steps)
         # Re-solving the evicted dt rebuilds (bounded memory, correct
         # result), the cached ones do not.
-        solver.step_once(state, steps[-1])
+        _one_step(solver, steps[-1])
         assert solver.thermal_solver_builds == len(steps)
-        solver.step_once(state, steps[0])
+        _one_step(solver, steps[0])
         assert solver.thermal_solver_builds == len(steps) + 1
 
     def test_statistics_report_cache_counters(self):
@@ -304,7 +294,7 @@ class TestPerDtSolverReuse:
         problem = build_wire_bridge_problem()
         solver = CoupledSolver(problem, mode="fast", tolerance=1e-4,
                                factorization_cache=cache)
-        solver.step_once(problem.initial_temperatures(), 0.5)
+        _one_step(solver, 0.5)
         stats = solver.solver_statistics()
         assert stats["mode"] == "fast"
         assert stats["coupled_steps"] == 1
@@ -323,9 +313,7 @@ class TestStatisticsWindow:
     def test_counters_reset_with_a_new_window(self):
         problem = build_wire_bridge_problem()
         solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
-        state = problem.initial_temperatures()
-        solver.step_once(state, 0.5)
-        solver.step_once(state, 0.5)
+        solver.solve_transient(TimeGrid(1.0, 2))
         assert solver.solver_statistics()["coupled_steps"] == 2
 
         solver.begin_statistics_window()
@@ -333,7 +321,7 @@ class TestStatisticsWindow:
         assert fresh["coupled_steps"] == 0
         assert fresh["thermal_solver_builds"] == 0
 
-        solver.step_once(state, 0.5)
+        _one_step(solver, 0.5)
         window = solver.solver_statistics()
         assert window["coupled_steps"] == 1
         # dt=0.5 was already cached before the window opened.
@@ -344,10 +332,9 @@ class TestStatisticsWindow:
     def test_lifetime_escape_hatch(self):
         problem = build_wire_bridge_problem()
         solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
-        state = problem.initial_temperatures()
-        solver.step_once(state, 0.5)
+        _one_step(solver, 0.5)
         solver.begin_statistics_window()
-        solver.step_once(state, 0.5)
+        _one_step(solver, 0.5)
         assert solver.solver_statistics()["coupled_steps"] == 1
         lifetime = solver.solver_statistics(lifetime=True)
         assert lifetime["coupled_steps"] == 2
@@ -363,14 +350,14 @@ class TestStatisticsWindow:
         problem = build_wire_bridge_problem()
         first = CoupledSolver(problem, mode="fast", tolerance=1e-4,
                               factorization_cache=cache)
-        first.step_once(problem.initial_temperatures(), 0.5)
+        _one_step(first, 0.5)
         first_stats = first.solver_statistics()
         assert first_stats["factorization_cache_misses"] == 2
         assert first_stats["factorization_cache_hits"] == 0
 
         second = CoupledSolver(problem, mode="fast", tolerance=1e-4,
                                factorization_cache=cache)
-        second.step_once(problem.initial_temperatures(), 0.5)
+        _one_step(second, 0.5)
         second_stats = second.solver_statistics()
         assert second_stats["coupled_steps"] == 1
         # The second solver's setup reuses the first's factorizations:

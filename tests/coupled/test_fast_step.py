@@ -8,7 +8,8 @@
 * The radiative source is evaluated on the radiating nodes only; the
   reference is the dense formula over every node.
 * Transients warm-start each step from the previous states; the
-  reference is the same steps taken cold through ``step_once``.
+  reference is the same steps taken cold through ``_step`` with no
+  guess.
 """
 
 import numpy as np
@@ -110,12 +111,12 @@ def test_warm_started_transient_matches_cold_steps():
         result = warm.solve_transient(grid)
 
     cold = CoupledSolver(problem, mode="fast", tolerance=tolerance)
-    state = problem.initial_temperatures()
-    traces = [cold.topology.wire_temperatures(state)]
+    state = problem.initial_temperatures()[:, None]
+    traces = [cold.topology.wire_temperatures(state[:, 0])]
     with tracing.capture() as cold_capture:
         for _ in range(grid.num_steps):
-            state = cold.step_once(state, grid.dt)
-            traces.append(cold.topology.wire_temperatures(state))
+            state = cold._step(state, grid.dt, cold._bound_lengths())[0]
+            traces.append(cold.topology.wire_temperatures(state[:, 0]))
 
     np.testing.assert_allclose(
         result.wire_temperatures, np.vstack(traces),

@@ -109,129 +109,6 @@ class TestCollocationPath:
         assert np.allclose(result.mean, nominal, atol=1e-6)
 
 
-class TestAdaptiveTimeStepping:
-    def test_adaptive_traces_match_fixed_grid(self, study):
-        """The golden bound: quantized-adaptive traces, interpolated
-        onto the 51-point grid, stay within adaptive_tolerance of the
-        fixed-grid traces -- at roughly a third of the solve count."""
-        adaptive = Date16UncertaintyStudy(
-            resolution="coarse", tolerance=1e-3,
-            time_stepping="adaptive", adaptive_tolerance=1.0,
-        )
-        deltas = np.full(12, 0.17)
-        fixed_traces = study.evaluate_traces(deltas)
-        adaptive_traces = adaptive.evaluate_traces(deltas)
-        assert adaptive_traces.shape == fixed_traces.shape
-        assert np.allclose(adaptive_traces[0], 300.0)
-        # The controller takes (far) fewer solves than the fixed grid...
-        result = adaptive.last_adaptive_result
-        assert result is not None
-        assert result.num_solves < 26  # fixed grid: 50 coupled solves
-        assert result.times[-1] == pytest.approx(
-            adaptive.parameters.end_time
-        )
-        # ...while staying within the local tolerance of the fixed solve.
-        assert np.max(np.abs(adaptive_traces - fixed_traces)) < 1.0
-
-    def test_quantization_bounds_factorizations(self):
-        """Thermal factorizations stay at the ladder-rung count; the
-        raw controller pays one per fresh dt."""
-        adaptive = Date16UncertaintyStudy(
-            resolution="coarse", tolerance=1e-3, time_stepping="adaptive",
-        )
-        adaptive.evaluate_traces(np.full(12, 0.17))
-        result = adaptive.last_adaptive_result
-        stats = result.statistics()
-        assert stats["thermal_solver_builds"] == (
-            result.num_distinct_solver_dts
-        )
-        assert stats["thermal_solver_builds"] <= 8  # a handful of rungs
-        assert stats["num_solves"] == result.num_solves
-        # A second evaluation reuses every per-dt solver, and the
-        # attached statistics are that run's delta, not the solver's
-        # lifetime totals.
-        builds_before = adaptive.solver.thermal_solver_builds
-        adaptive.evaluate_traces(np.full(12, 0.17))
-        assert adaptive.solver.thermal_solver_builds == builds_before
-        warm = adaptive.last_adaptive_result.statistics()
-        assert warm["thermal_solver_builds"] == 0
-        assert warm["coupled_steps"] == warm["num_solves"]
-
-    def test_raw_adaptive_path_still_available(self):
-        adaptive = Date16UncertaintyStudy(
-            resolution="coarse", tolerance=1e-3, time_stepping="adaptive",
-            quantize_dt=False,
-            adaptive_options={"error_estimate": "doubling"},
-        )
-        traces = adaptive.evaluate_traces(np.full(12, 0.17))
-        assert traces.shape == (51, 12)
-        result = adaptive.last_adaptive_result
-        assert result.num_solves == 3 * (result.accepted + result.rejected)
-
-    def test_unknown_adaptive_option_rejected(self):
-        with pytest.raises(SamplingError, match="adaptive_options"):
-            Date16UncertaintyStudy(
-                resolution="coarse", time_stepping="adaptive",
-                adaptive_options={"typo_dt": 1.0},
-            )
-
-    def test_invalid_time_stepping_rejected(self):
-        with pytest.raises(SamplingError):
-            Date16UncertaintyStudy(resolution="coarse",
-                                   time_stepping="magic")
-
-    def test_adaptive_refuses_waveform(self):
-        from repro.coupled.excitation import StepWaveform
-
-        with pytest.raises(SamplingError):
-            Date16UncertaintyStudy(
-                resolution="coarse", time_stepping="adaptive",
-                waveform=StepWaveform(t_on=1.0, t_off=20.0),
-            )
-
-    def test_campaign_scenario_option(self):
-        """The ROADMAP item: 'time_stepping': 'adaptive' flows from the
-        spec through the registry builder into the study."""
-        from repro.campaign.registry import get_problem
-        from repro.package3d.scenarios import date16_campaign_spec
-
-        spec = date16_campaign_spec(
-            num_samples=2, chunk_size=2, time_stepping="adaptive",
-        )
-        assert spec.scenario.options["time_stepping"] == "adaptive"
-        model = get_problem("date16")(spec.scenario)
-        traces = model(np.full(12, 0.17))
-        assert traces.shape == (51, 12)
-
-    def test_quantize_and_adaptive_options_thread_through_spec(self):
-        """The new options block round-trips through ScenarioSpec JSON
-        into the worker-side study."""
-        import json
-
-        from repro.campaign.registry import get_problem
-        from repro.campaign.spec import CampaignSpec
-        from repro.package3d.scenarios import date16_campaign_spec
-
-        spec = date16_campaign_spec(
-            num_samples=2, chunk_size=2, time_stepping="adaptive",
-            adaptive_tolerance=0.75, quantize_dt=False,
-            adaptive_options={"min_dt": 0.25,
-                              "error_estimate": "doubling"},
-        )
-        rebuilt = CampaignSpec.from_json(spec.to_json())
-        options = rebuilt.scenario.options
-        assert options["quantize_dt"] is False
-        assert options["adaptive_tolerance"] == 0.75
-        assert options["adaptive_options"]["min_dt"] == 0.25
-        assert json.loads(spec.to_json()) == json.loads(rebuilt.to_json())
-        model = get_problem("date16")(rebuilt.scenario)
-        study = model.__self__
-        assert study.quantize_dt is False
-        assert study.adaptive_tolerance == 0.75
-        assert study.adaptive_options["min_dt"] == 0.25
-        assert study.adaptive_options["error_estimate"] == "doubling"
-
-
 class TestPcePath:
     def test_degree1_surrogate(self, study):
         pce = study.run_pce(degree=1, seed=0)
@@ -267,15 +144,20 @@ class TestBlockedEvaluation:
     def test_supports_block_evaluation(self, tiny_study):
         assert tiny_study.supports_block_evaluation
 
-    def test_adaptive_does_not_support_blocks(self):
-        adaptive = Date16UncertaintyStudy(
-            resolution="coarse", tolerance=1e-3, time_stepping="adaptive"
+    def test_multi_segment_does_not_support_blocks(self):
+        from repro.package3d.chip_example import Date16Parameters
+
+        segmented = Date16UncertaintyStudy(
+            parameters=Date16Parameters(end_time=10.0, num_time_points=6),
+            resolution=(0.9e-3, 0.4e-3),
+            tolerance=1e-3,
+            num_segments=3,
         )
-        assert not adaptive.supports_block_evaluation
+        assert not segmented.supports_block_evaluation
         with pytest.raises(SamplingError, match="block"):
-            adaptive.evaluate_traces_block(np.full((2, 12), 0.17))
+            segmented.evaluate_traces_block(np.full((2, 12), 0.17))
         # The model factory degrades to the plain per-sample callable.
-        model = adaptive.block_model()
+        model = segmented.block_model()
         assert getattr(model, "evaluate_block", None) is None
 
     def test_block_matches_per_sample_loop(self, tiny_study):
@@ -318,8 +200,8 @@ class TestBlockedEvaluation:
         ) < 1e-12
 
     @pytest.mark.parametrize(
-        "options", [{"num_segments": 3}, {"time_stepping": "adaptive"}],
-        ids=["three-segment", "adaptive"],
+        "options", [{"num_segments": 3}, {"mode": "full"}],
+        ids=["three-segment", "full-mode"],
     )
     def test_run_monte_carlo_without_block_evaluator(self, options):
         from repro.package3d.chip_example import Date16Parameters

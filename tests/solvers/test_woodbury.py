@@ -21,6 +21,12 @@ def _solver(base, u, **kwargs):
     return WoodburySolver(base, u, np.ones(np.shape(u)[-1]), **kwargs)
 
 
+def _solve_one(solver, conductances, rhs):
+    """One ``(k,)`` conductance row and ``(n,)`` rhs via ``solve_batch``."""
+    row = np.asarray(conductances, dtype=float).reshape(1, -1)
+    return solver.solve_batch(row, rhs)[:, 0]
+
+
 def _stamp_vectors(n, k, seed=1):
     """Wire-like +1/-1 incidence columns."""
     rng = np.random.default_rng(seed)
@@ -43,7 +49,7 @@ class TestAgainstDirect:
         direct = np.linalg.solve(
             base.toarray() + g[0] * np.outer(u[:, 0], u[:, 0]), rhs
         )
-        assert np.allclose(solver.solve(g, rhs), direct)
+        assert np.allclose(_solve_one(solver, g, rhs), direct)
 
     def test_twelve_wires(self, rng):
         """The paper's case: 12 rank-1 wire stamps."""
@@ -54,7 +60,8 @@ class TestAgainstDirect:
         g = rng.uniform(0.1, 20.0, 12)
         rhs = rng.standard_normal(n)
         full = base.toarray() + u @ np.diag(g) @ u.T
-        assert np.allclose(solver.solve(g, rhs), np.linalg.solve(full, rhs))
+        assert np.allclose(_solve_one(solver, g, rhs),
+                           np.linalg.solve(full, rhs))
 
     def test_zero_conductances_fall_back_to_base(self, rng):
         n = 15
@@ -63,7 +70,7 @@ class TestAgainstDirect:
         solver = _solver(base, u)
         rhs = rng.standard_normal(n)
         assert np.allclose(
-            solver.solve(np.zeros(3), rhs),
+            _solve_one(solver, np.zeros(3), rhs),
             np.linalg.solve(base.toarray(), rhs),
         )
 
@@ -75,7 +82,8 @@ class TestAgainstDirect:
         g = np.array([5.0, 0.0, 2.0])
         rhs = rng.standard_normal(n)
         full = base.toarray() + u @ np.diag(g) @ u.T
-        assert np.allclose(solver.solve(g, rhs), np.linalg.solve(full, rhs))
+        assert np.allclose(_solve_one(solver, g, rhs),
+                           np.linalg.solve(full, rhs))
 
     def test_repeated_solves_with_different_g(self, rng):
         """The Monte Carlo pattern: one base, many conductance sets."""
@@ -88,7 +96,7 @@ class TestAgainstDirect:
             g = np.random.default_rng(seed).uniform(0.5, 10.0, 5)
             full = base.toarray() + u @ np.diag(g) @ u.T
             assert np.allclose(
-                solver.solve(g, rhs), np.linalg.solve(full, rhs)
+                _solve_one(solver, g, rhs), np.linalg.solve(full, rhs)
             )
 
 
@@ -100,13 +108,13 @@ class TestEdgeCases:
         solver = _solver(base, np.zeros((n, 0)))
         assert solver.rank == 0
         rhs = rng.standard_normal(n)
-        solution = solver.solve(np.zeros(0), rhs)
+        solution = _solve_one(solver, np.zeros(0), rhs)
         assert np.allclose(solution, np.linalg.solve(base.toarray(), rhs))
 
     def test_rank_zero_rejects_nonempty_conductances(self):
         solver = _solver(_base(6), np.zeros((6, 0)))
         with pytest.raises(SolverError):
-            solver.solve([1.0], np.ones(6))
+            solver.solve_batch([[1.0]], np.ones(6))
 
     def test_all_zero_conductances_match_direct_sparse(self, rng):
         n = 18
@@ -115,13 +123,13 @@ class TestEdgeCases:
         solver = _solver(base, u)
         rhs = rng.standard_normal(n)
         direct = sp.linalg.spsolve(base.tocsc(), rhs)
-        assert np.allclose(solver.solve(np.zeros(4), rhs), direct,
+        assert np.allclose(_solve_one(solver, np.zeros(4), rhs), direct,
                            rtol=0, atol=1e-10)
 
     def test_negative_conductance_rejected_even_with_zeros(self):
         solver = _solver(_base(8), _stamp_vectors(8, 3))
         with pytest.raises(SolverError):
-            solver.solve([0.0, -1.0e-12, 2.0], np.ones(8))
+            solver.solve_batch([[0.0, -1.0e-12, 2.0]], np.ones(8))
 
     def test_agreement_with_direct_sparse_solve(self, rng):
         """Woodbury vs a fresh sparse LU of the stamped matrix, 1e-10."""
@@ -133,7 +141,8 @@ class TestEdgeCases:
         rhs = rng.standard_normal(n)
         stamped = (base + sp.csc_matrix(u @ np.diag(g) @ u.T)).tocsc()
         direct = sp.linalg.spsolve(stamped, rhs)
-        assert np.allclose(solver.solve(g, rhs), direct, rtol=0, atol=1e-10)
+        assert np.allclose(_solve_one(solver, g, rhs), direct,
+                           rtol=0, atol=1e-10)
 
     def test_extreme_conductance_contrast(self, rng):
         """Orders-of-magnitude spread in g (hot vs cold wires) stays exact."""
@@ -144,8 +153,8 @@ class TestEdgeCases:
         g = np.array([1.0e-8, 1.0, 1.0e6])
         rhs = rng.standard_normal(n)
         full = base.toarray() + u @ np.diag(g) @ u.T
-        assert np.allclose(solver.solve(g, rhs), np.linalg.solve(full, rhs),
-                           rtol=0, atol=1e-8)
+        assert np.allclose(_solve_one(solver, g, rhs),
+                           np.linalg.solve(full, rhs), rtol=0, atol=1e-8)
 
 
 class TestFactorizationCache:
@@ -161,7 +170,8 @@ class TestFactorizationCache:
         assert first._lu is second._lu
         g = rng.uniform(0.5, 5.0, 2)
         rhs = rng.standard_normal(10)
-        assert np.array_equal(first.solve(g, rhs), second.solve(g, rhs))
+        assert np.array_equal(_solve_one(first, g, rhs),
+                              _solve_one(second, g, rhs))
 
     def test_different_matrices_do_not_collide(self):
         from repro.solvers.cache import FactorizationCache
@@ -206,12 +216,12 @@ class TestValidation:
     def test_negative_conductance_rejected(self):
         solver = _solver(_base(6), _stamp_vectors(6, 2))
         with pytest.raises(SolverError):
-            solver.solve([-1.0, 1.0], np.ones(6))
+            solver.solve_batch([[-1.0, 1.0]], np.ones(6))
 
     def test_wrong_conductance_count(self):
         solver = _solver(_base(6), _stamp_vectors(6, 2))
         with pytest.raises(SolverError):
-            solver.solve([1.0], np.ones(6))
+            solver.solve_batch([[1.0]], np.ones(6))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SolverError):
@@ -224,39 +234,42 @@ class TestValidation:
 
 class TestMultiRhs:
     def test_multi_rhs_matches_per_column(self, rng):
+        """Five right-hand sides under one conductance row, as five
+        repeated rows of a block."""
         n = 20
         solver = _solver(_base(n), _stamp_vectors(n, 4))
         g = rng.uniform(0.5, 8.0, 4)
         rhs = rng.standard_normal((n, 5))
-        block = solver.solve(g, rhs)
+        block = solver.solve_batch(np.tile(g, (5, 1)), rhs)
         assert block.shape == (n, 5)
         for j in range(5):
-            assert np.allclose(block[:, j], solver.solve(g, rhs[:, j]),
+            assert np.allclose(block[:, j], _solve_one(solver, g, rhs[:, j]),
                                rtol=0, atol=1e-11)
 
-    def test_vector_rhs_shape_preserved(self, rng):
+    def test_vector_rhs_gives_one_column_per_row(self, rng):
         n = 12
         solver = _solver(_base(n), _stamp_vectors(n, 2))
-        solution = solver.solve(rng.uniform(0.5, 2.0, 2),
-                                rng.standard_normal(n))
-        assert solution.shape == (n,)
+        solution = solver.solve_batch(rng.uniform(0.5, 2.0, (3, 2)),
+                                      rng.standard_normal(n))
+        assert solution.shape == (n, 3)
 
     def test_rejects_3d_rhs(self):
         solver = _solver(_base(6), _stamp_vectors(6, 2))
         with pytest.raises(SolverError, match="1D .* or 2D"):
-            solver.solve([1.0, 1.0], np.ones((6, 2, 2)))
+            solver.solve_batch(np.ones((2, 2)), np.ones((6, 2, 2)))
 
     def test_rejects_wrong_row_count(self):
         solver = _solver(_base(6), _stamp_vectors(6, 2))
         with pytest.raises(SolverError, match="unknowns"):
-            solver.solve([1.0, 1.0], np.ones(7))
+            solver.solve_batch(np.ones((1, 2)), np.ones(7))
         with pytest.raises(SolverError, match="unknowns"):
-            solver.solve([1.0, 1.0], np.ones((5, 3)))
+            solver.solve_batch(np.ones((3, 2)), np.ones((5, 3)))
 
 
 class TestSolveBatch:
     def test_matches_per_sample_solve_bitwise(self, rng):
-        """Column s of the batch == solve(g_s, rhs_s) to rounding.
+        """Column s of the batch == the one-row solve of (g_s, rhs_s) to
+        rounding.
 
         Both run the same capacitance-form algebra; only the multi-RHS
         backsolve and the BLAS-3 correction reorder sums.
@@ -268,7 +281,7 @@ class TestSolveBatch:
         batch = solver.solve_batch(g_block, rhs_block)
         assert batch.shape == (n, 7)
         for s in range(7):
-            expected = solver.solve(g_block[s], rhs_block[:, s])
+            expected = _solve_one(solver, g_block[s], rhs_block[:, s])
             assert np.allclose(batch[:, s], expected, rtol=1e-12, atol=0.0)
 
     def test_shared_rhs_is_bitwise_per_sample(self, rng):
@@ -283,7 +296,8 @@ class TestSolveBatch:
         batch = solver.solve_batch(g_block, rhs)
         assert batch.shape == (n, 9)
         for s in range(9):
-            assert np.allclose(batch[:, s], solver.solve(g_block[s], rhs),
+            assert np.allclose(batch[:, s],
+                               _solve_one(solver, g_block[s], rhs),
                                rtol=1e-12, atol=0.0)
 
     def test_single_sample_block(self, rng):
@@ -292,7 +306,8 @@ class TestSolveBatch:
         g = rng.uniform(0.5, 5.0, (1, 3))
         rhs = rng.standard_normal((n, 1))
         batch = solver.solve_batch(g, rhs)
-        assert np.array_equal(batch[:, 0], solver.solve(g[0], rhs[:, 0]))
+        assert np.array_equal(batch[:, 0],
+                              _solve_one(solver, g[0], rhs[:, 0]))
 
     def test_heterogeneous_zero_conductances(self, rng):
         """Dropped stamps (``g = 0``) are just ``d = -g0`` in the block."""
@@ -304,7 +319,7 @@ class TestSolveBatch:
         rhs_block = rng.standard_normal((n, 4))
         batch = solver.solve_batch(g_block, rhs_block)
         for s in range(4):
-            expected = solver.solve(g_block[s], rhs_block[:, s])
+            expected = _solve_one(solver, g_block[s], rhs_block[:, s])
             assert np.allclose(batch[:, s], expected, rtol=0, atol=1e-11)
 
     def test_all_zero_conductances_return_base_solves(self, rng):
@@ -378,7 +393,8 @@ class TestSolveBatch:
         rhs = rng.standard_normal((n, 1))
         solution = solver.solve_batch(g, rhs)
         assert solution.shape == (n, 1)
-        assert np.array_equal(solution[:, 0], solver.solve(g[0], rhs[:, 0]))
+        assert np.array_equal(solution[:, 0],
+                              _solve_one(solver, g[0], rhs[:, 0]))
 
     def test_counts_blocked_solves(self, rng):
         from repro.telemetry.tracing import capture
@@ -405,7 +421,7 @@ def test_property_matches_direct_solve(k, seed):
     rhs = rng.standard_normal(n)
     full = base.toarray() + u @ np.diag(g) @ u.T
     assert np.allclose(
-        solver.solve(g, rhs), np.linalg.solve(full, rhs), atol=1e-8
+        _solve_one(solver, g, rhs), np.linalg.solve(full, rhs), atol=1e-8
     )
 
 
@@ -441,10 +457,11 @@ def _coefficient_solution(solver, conductances, rhs):
 
 
 def _all_entry_points(solver, conductances, shared, block):
-    """``(rhs, solution)`` pairs from scalar, shared, block and
+    """``(rhs, solution)`` pairs from one-row, shared, block and
     coefficient solves."""
     scalar = np.column_stack([
-        solver.solve(g, block[:, s]) for s, g in enumerate(conductances)
+        _solve_one(solver, g, block[:, s])
+        for s, g in enumerate(conductances)
     ])
     yield block, scalar
     yield shared, solver.solve_batch(conductances, shared)
@@ -567,7 +584,8 @@ def test_property_direct_solve_oracle(n_island, k, num_samples,
         with pytest.raises(SolverError, match="singular"):
             solver.solve_batch(conductances, np.ones(base.shape[0]))
         with pytest.raises(SolverError, match="singular"):
-            solver.solve(conductances[detached][0], np.ones(base.shape[0]))
+            _solve_one(solver, conductances[detached][0],
+                       np.ones(base.shape[0]))
         with pytest.raises(SolverError, match="singular"):
             solver.coefficients(conductances, np.ones(k))
         conductances = conductances[~detached]
