@@ -21,12 +21,10 @@ paper-versus-measured record.
 
 from .bondwire import (
     AnalyticWireModel,
-    BondWireCalculator,
     LumpedBondWire,
     WireLengthModel,
     assess_failure,
 )
-from .bondwire.degradation import ArrheniusDegradationModel, CycleCountingModel
 from .constants import (
     EMISSIVITY_DEFAULT,
     HEAT_TRANSFER_COEFFICIENT_DEFAULT,
@@ -116,10 +114,7 @@ __all__ = [
     "LumpedBondWire",
     "WireLengthModel",
     "AnalyticWireModel",
-    "BondWireCalculator",
     "assess_failure",
-    "ArrheniusDegradationModel",
-    "CycleCountingModel",
     # waveforms
     "ConstantWaveform",
     "StepWaveform",

@@ -2,13 +2,11 @@
 
 This package implements Section III-B (the lumped element wire model and
 its stamps) and Section IV-B (the uncertain length geometry) of the paper,
-plus the analytic steady-state baseline the paper cites (Noebauer & Moser
-style) and a wire-sizing calculator ("bonding wire calculators allow to
-estimate appropriate parameters by simulation", Section I).
+the analytic steady-state baseline the paper cites (Noebauer & Moser
+style) and the failure criterion of Section V-D: a wire fails when it
+passes a static critical temperature.
 """
 
-from .calculator import BondWireCalculator, SizingResult
-from .degradation import ArrheniusDegradationModel, CycleCountingModel
 from .failure import (
     FailureAssessment,
     assess_failure,
@@ -38,12 +36,8 @@ __all__ = [
     "bending_elongation_triangle",
     "AnalyticWireModel",
     "FinWireSolution",
-    "BondWireCalculator",
-    "SizingResult",
     "FailureAssessment",
     "assess_failure",
     "first_crossing_time",
     "preece_fusing_current",
-    "ArrheniusDegradationModel",
-    "CycleCountingModel",
 ]

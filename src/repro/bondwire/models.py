@@ -13,9 +13,9 @@ classic parabola; with loss it is the cosh fin solution.  Temperature
 dependence of ``sigma`` and ``lambda`` is resolved by a fixed-point
 iteration on the average wire temperature.
 
-These closed forms serve three purposes: a fast wire-sizing calculator, a
-cross-check of the lumped FIT coupling on matched configurations, and the
-comparison baseline required for the wire-failure benches.
+These closed forms are an independent oracle: the cross-verification
+tests check the lumped FIT coupling against them on matched
+configurations, and ``examples/analytic_vs_field.py`` compares the two.
 """
 
 import numpy as np

@@ -14,11 +14,6 @@
 """
 
 from .electrical import solve_stationary_current
-from .electroquasistatic import (
-    EQSResult,
-    charge_relaxation_time,
-    solve_electroquasistatic,
-)
 from .energy import EnergyAudit, audit_energy
 from .excitation import (
     ConstantWaveform,
@@ -47,9 +42,6 @@ __all__ = [
     "PulseTrainWaveform",
     "RampWaveform",
     "as_waveform",
-    "solve_electroquasistatic",
-    "EQSResult",
-    "charge_relaxation_time",
     "audit_energy",
     "EnergyAudit",
 ]

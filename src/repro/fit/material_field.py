@@ -93,10 +93,6 @@ class MaterialField:
         """Volumetric heat capacity per cell [J/K/m^3] (T independent)."""
         return self._evaluate(lambda m: m.volumetric_heat_capacity, None)
 
-    def epsilon_cells(self):
-        """Absolute permittivity per cell [F/m] (electroquasistatics)."""
-        return self._evaluate(lambda m: m.permittivity, None)
-
     def material_names(self):
         """Names of all registered materials, in index order."""
         return [material.name for material in self.materials]

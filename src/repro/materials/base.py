@@ -42,15 +42,7 @@ class Material:
     volumetric_heat_capacity:
         ``rho*c`` in J/K/m^3; a number or a model.  The paper neglects its
         temperature dependence, but a model is accepted for generality.
-    relative_permittivity:
-        ``eps_r`` (dimensionless, default 1).  Only used by the
-        electroquasistatic extension (Section II-A: "a generalization to
-        electroquasistatics is straightforward"); the paper's stationary
-        current model ignores it.
     """
-
-    #: Vacuum permittivity [F/m].
-    EPSILON_0 = 8.8541878128e-12
 
     def __init__(
         self,
@@ -58,7 +50,6 @@ class Material:
         electrical_conductivity,
         thermal_conductivity,
         volumetric_heat_capacity,
-        relative_permittivity=1.0,
     ):
         if not name or not isinstance(name, str):
             raise MaterialError(
@@ -68,13 +59,6 @@ class Material:
         self._sigma = _as_model(electrical_conductivity, "electrical_conductivity")
         self._lambda = _as_model(thermal_conductivity, "thermal_conductivity")
         self._rhoc = _as_model(volumetric_heat_capacity, "volumetric_heat_capacity")
-        relative_permittivity = float(relative_permittivity)
-        if relative_permittivity < 1.0:
-            raise MaterialError(
-                f"relative permittivity of {name!r} must be >= 1, got "
-                f"{relative_permittivity!r}"
-            )
-        self.relative_permittivity = relative_permittivity
         for label, model in (
             ("electrical conductivity", self._sigma),
             ("thermal conductivity", self._lambda),
@@ -99,10 +83,6 @@ class Material:
         """Volumetric heat capacity rho*c [J/K/m^3]."""
         return self._rhoc(temperature)
 
-    def permittivity(self):
-        """Absolute permittivity ``eps_0 * eps_r`` [F/m]."""
-        return self.EPSILON_0 * self.relative_permittivity
-
     def electrical_conductivity_derivative(self, temperature):
         """d(sigma)/dT [S/m/K]."""
         return self._sigma.derivative(temperature)
@@ -126,14 +106,12 @@ class Material:
             electrical_conductivity=float(self._sigma(temperature)),
             thermal_conductivity=float(self._lambda(temperature)),
             volumetric_heat_capacity=float(self._rhoc(temperature)),
-            relative_permittivity=self.relative_permittivity,
         )
 
     def __repr__(self):
         return (
             f"Material({self.name!r}, sigma={self._sigma!r}, "
-            f"lambda={self._lambda!r}, rhoc={self._rhoc!r}, "
-            f"eps_r={self.relative_permittivity!r})"
+            f"lambda={self._lambda!r}, rhoc={self._rhoc!r})"
         )
 
     def __eq__(self, other):

@@ -64,7 +64,6 @@ def epoxy_resin():
         electrical_conductivity=ConstantModel(SIGMA_EPOXY),
         thermal_conductivity=ConstantModel(LAMBDA_EPOXY),
         volumetric_heat_capacity=1200.0 * 1100.0,
-        relative_permittivity=4.0,
     )
 
 
@@ -75,7 +74,6 @@ def silicon():
         electrical_conductivity=ConstantModel(1.0e-3),
         thermal_conductivity=LinearModel(148.0, -2.0e-3, floor=30.0),
         volumetric_heat_capacity=2329.0 * 700.0,
-        relative_permittivity=11.7,
     )
 
 
@@ -86,7 +84,6 @@ def fr4():
         electrical_conductivity=ConstantModel(1.0e-9),
         thermal_conductivity=ConstantModel(0.3),
         volumetric_heat_capacity=1850.0 * 1100.0,
-        relative_permittivity=4.4,
     )
 
 

@@ -3,7 +3,7 @@
 The coupled electrothermal loop solves many systems with identical sparsity
 and often identical values (e.g. when material nonlinearities have
 converged, or in the frozen-materials ablation).  :class:`LinearSolver`
-caches the LU factorization and only refactorizes when the matrix values
+caches the LU factorization and only refactorizes when the matrix
 actually changed.
 """
 
@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from ..errors import SolverError
+from .cache import matrix_fingerprint
 
 
 def solve_sparse(matrix, rhs):
@@ -26,43 +27,21 @@ def solve_sparse(matrix, rhs):
     return solution
 
 
-def _matrix_fingerprint(matrix):
-    """Cheap change-detection fingerprint of a CSC matrix's values."""
-    data = matrix.data
-    if data.size == 0:
-        return (0, 0.0, 0.0)
-    return (data.size, float(data.sum()), float(np.abs(data).sum()))
-
-
 class LinearSolver:
     """LU-backed solver that reuses factorizations across calls.
 
     ``solve(matrix, rhs)`` refactorizes only when the matrix changed since
-    the previous call (detected by a value fingerprint, with an optional
-    exact comparison for paranoid callers).
+    the previous call.  The change test compares
+    :func:`~repro.solvers.cache.matrix_fingerprint` content hashes, the
+    exact key of the factorization cache, so any change in structure or
+    values refactorizes.
     """
 
-    def __init__(self, exact_change_detection=False):
-        self.exact_change_detection = exact_change_detection
+    def __init__(self):
         self._lu = None
         self._fingerprint = None
-        self._matrix_data = None
         self.factorization_count = 0
         self.solve_count = 0
-
-    def _needs_refactorization(self, matrix):
-        if self._lu is None:
-            return True
-        fingerprint = _matrix_fingerprint(matrix)
-        if fingerprint != self._fingerprint:
-            return True
-        if self.exact_change_detection:
-            if self._matrix_data is None:
-                return True
-            if self._matrix_data.size != matrix.data.size:
-                return True
-            return not np.array_equal(self._matrix_data, matrix.data)
-        return False
 
     def solve(self, matrix, rhs):
         """Solve ``matrix @ x = rhs``, reusing the cached LU if possible."""
@@ -73,14 +52,13 @@ class LinearSolver:
                 f"rhs size {rhs.size} does not match matrix "
                 f"{matrix.shape[0]}x{matrix.shape[1]}"
             )
-        if self._needs_refactorization(matrix):
+        fingerprint = matrix_fingerprint(matrix)
+        if self._lu is None or fingerprint != self._fingerprint:
             try:
                 self._lu = spla.splu(matrix)
             except RuntimeError as exc:
                 raise SolverError(f"LU factorization failed: {exc}") from exc
-            self._fingerprint = _matrix_fingerprint(matrix)
-            if self.exact_change_detection:
-                self._matrix_data = matrix.data.copy()
+            self._fingerprint = fingerprint
             self.factorization_count += 1
         solution = self._lu.solve(rhs)
         self.solve_count += 1
@@ -92,59 +70,3 @@ class LinearSolver:
         """Drop the cached factorization (e.g. after a mesh change)."""
         self._lu = None
         self._fingerprint = None
-        self._matrix_data = None
-
-
-def conjugate_gradient(matrix, rhs, x0=None, tolerance=1.0e-10, max_iterations=None):
-    """CG solve for symmetric positive definite systems.
-
-    Provided for very large meshes where LU memory becomes the bottleneck;
-    raises :class:`SolverError` when CG does not converge.
-    """
-    matrix = matrix.tocsr()
-    rhs = np.asarray(rhs, dtype=float)
-    if max_iterations is None:
-        max_iterations = 10 * matrix.shape[0]
-    try:
-        solution, info = spla.cg(
-            matrix, rhs, x0=x0, rtol=tolerance, maxiter=max_iterations
-        )
-    except TypeError:
-        # SciPy < 1.12 uses `tol` instead of `rtol`.
-        solution, info = spla.cg(
-            matrix, rhs, x0=x0, tol=tolerance, maxiter=max_iterations
-        )
-    if info != 0:
-        raise SolverError(f"CG failed to converge (info={info})")
-    return solution
-
-
-def estimate_condition_number(matrix, probes=5, seed=0):
-    """Rough condition estimate via power iteration on ``A`` and ``A^-1``.
-
-    Diagnostic only -- used by tests to document the ill-conditioning that
-    the huge copper/epoxy conductivity contrast produces.
-    """
-    matrix = matrix.tocsc()
-    n = matrix.shape[0]
-    rng = np.random.default_rng(seed)
-    vector = rng.standard_normal(n)
-    vector /= np.linalg.norm(vector)
-    for _ in range(probes):
-        vector = matrix @ vector
-        norm = np.linalg.norm(vector)
-        if norm == 0.0:
-            return np.inf
-        vector /= norm
-    largest = norm
-    lu = spla.splu(matrix)
-    vector = rng.standard_normal(n)
-    vector /= np.linalg.norm(vector)
-    for _ in range(probes):
-        vector = lu.solve(vector)
-        norm = np.linalg.norm(vector)
-        if norm == 0.0:
-            return np.inf
-        vector /= norm
-    smallest = 1.0 / norm
-    return largest / smallest

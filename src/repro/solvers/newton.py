@@ -1,10 +1,9 @@
-"""Nonlinear iterations: fixed point (successive substitution) and Newton.
+"""Nonlinear iteration: fixed point (successive substitution).
 
 The coupled electrothermal step of the paper is solved by successive
 substitution: freeze the temperature, assemble the temperature-dependent
 matrices, solve, repeat.  :func:`fixed_point` implements that pattern with
-optional damping; :func:`newton_raphson` is provided for scalar/small dense
-problems (e.g. the analytic bonding wire steady state).
+optional damping.
 """
 
 import numpy as np
@@ -84,45 +83,3 @@ def fixed_point(
             residual=residual,
         )
     return FixedPointResult(current, max_iterations, residual, False, history)
-
-
-def newton_raphson(
-    residual,
-    jacobian,
-    initial,
-    tolerance=1.0e-10,
-    max_iterations=50,
-    damping=1.0,
-):
-    """Dense Newton-Raphson for small systems ``residual(x) = 0``.
-
-    ``jacobian(x)`` must return a dense matrix (or scalar for 1D problems).
-    Used by the analytic wire model where the unknown is the wire
-    temperature itself.
-    """
-    current = np.atleast_1d(np.array(initial, dtype=float, copy=True))
-    for iteration in range(1, max_iterations + 1):
-        res = np.atleast_1d(np.asarray(residual(current), dtype=float))
-        if float(np.max(np.abs(res))) < tolerance:
-            return FixedPointResult(
-                current if current.size > 1 else float(current[0]),
-                iteration - 1,
-                float(np.max(np.abs(res))),
-                True,
-            )
-        jac = np.atleast_2d(np.asarray(jacobian(current), dtype=float))
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"singular Jacobian in Newton iteration {iteration}: {exc}",
-                iterations=iteration,
-            ) from exc
-        current = current - damping * step
-    final_res = float(np.max(np.abs(np.atleast_1d(residual(current)))))
-    raise ConvergenceError(
-        f"Newton iteration did not converge within {max_iterations} "
-        f"iterations (residual {final_res:.3e})",
-        iterations=max_iterations,
-        residual=final_res,
-    )

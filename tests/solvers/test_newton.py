@@ -1,10 +1,10 @@
-"""Tests for fixed-point and Newton iterations."""
+"""Tests for the fixed-point iteration."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.solvers.newton import fixed_point, newton_raphson
+from repro.solvers.newton import fixed_point
 
 
 class TestFixedPoint:
@@ -58,40 +58,3 @@ class TestFixedPoint:
         result = fixed_point(lambda x: x, np.array([3.0]))
         assert result.converged
         assert result.iterations == 1
-
-
-class TestNewton:
-    def test_scalar_square_root(self):
-        result = newton_raphson(
-            lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.0
-        )
-        assert result.solution == pytest.approx(np.sqrt(2.0))
-
-    def test_2d_system(self):
-        def residual(v):
-            x, y = v
-            return [x + y - 3.0, x - y - 1.0]
-
-        def jacobian(v):
-            return [[1.0, 1.0], [1.0, -1.0]]
-
-        result = newton_raphson(residual, jacobian, [0.0, 0.0])
-        assert np.allclose(result.solution, [2.0, 1.0])
-
-    def test_quadratic_convergence(self):
-        """sqrt(2) to machine precision within very few iterations."""
-        result = newton_raphson(
-            lambda x: x**2 - 2.0, lambda x: 2.0 * x, 1.5, tolerance=1e-14
-        )
-        assert result.iterations <= 6
-
-    def test_singular_jacobian_raises(self):
-        with pytest.raises(ConvergenceError):
-            newton_raphson(lambda x: x**2 + 1.0, lambda x: 0.0, 1.0)
-
-    def test_iteration_budget(self):
-        with pytest.raises(ConvergenceError):
-            newton_raphson(
-                lambda x: np.exp(x), lambda x: np.exp(x), 0.0,
-                max_iterations=10,
-            )
