@@ -146,13 +146,13 @@ def _chunk_outputs(model, chunk):
 
     The single evaluation implementation behind both telemetry modes of
     :func:`evaluate_chunk` (the span/metric calls are no-ops without an
-    active collector, so the disabled path pays only a no-op guard per
-    row).  A model exposing a callable ``evaluate_block`` attribute --
-    the sample-blocked fast path (see
+    active collector).  A model exposing a callable ``evaluate_block``
+    attribute -- the sample-blocked fast path (see
     :class:`repro.uq.monte_carlo.BlockedModel`) -- evaluates the whole
     chunk in one call under a ``block`` span, recording the batch size
     and the per-sample amortized cost; plain callables (e.g. the
-    Ishigami fixtures, scalar toy models) keep the per-row loop.
+    Ishigami fixtures, scalar toy models) keep the per-row loop, which
+    times every row and reports the times as one ``samples`` event.
     """
     num_samples = chunk.parameters.shape[0]
     block = getattr(model, "evaluate_block", None)
@@ -174,12 +174,17 @@ def _chunk_outputs(model, chunk):
             )
         return outputs
     outputs = []
+    walls = []
     for row in range(num_samples):
-        with telemetry.span("sample", index=int(chunk.indices[row])):
-            outputs.append(
-                np.asarray(model(chunk.parameters[row]), dtype=float)
-            )
+        start = time.perf_counter()
+        outputs.append(np.asarray(model(chunk.parameters[row]), dtype=float))
+        walls.append(time.perf_counter() - start)
     telemetry.increment("campaign.loop_solves", num_samples)
+    collector = telemetry.active_collector()
+    if collector is not None:
+        collector.emit(
+            {"event": "samples", "count": num_samples, "wall_s": walls}
+        )
     return np.stack(outputs)
 
 
@@ -215,9 +220,10 @@ def evaluate_chunk(model, chunk):
     When the chunk asks for telemetry (or defers to an enabled global
     flag), the evaluation runs inside a capture scope: a ``chunk`` span
     wrapping either one ``block`` span (models with the sample-blocked
-    ``evaluate_block`` interface) or one ``sample`` span per row, plus
-    whatever ambient metrics the solver stack emits (cache hits, coupled
-    steps, blocked solves...).  The capture is summarized into a
+    ``evaluate_block`` interface) or one ``samples`` event holding the
+    wall time of every row, plus whatever ambient metrics the solver
+    stack emits (cache hits, coupled steps, blocked solves...).  The
+    capture is summarized into a
     picklable ``ChunkResult.telemetry`` dict.  Disabled, the same
     evaluation helper runs without a collector -- every span/metric call
     is a no-op.

@@ -258,6 +258,53 @@ class _Heartbeat:
         }
 
 
+#: Seconds between writes of a run's status files while chunks complete
+#: (see :class:`_StatusFiles`).
+STATUS_HEARTBEAT_S = 1.0
+
+
+class _StatusFiles:
+    """Heartbeat-paced writer of ``progress.json`` and ``run.jsonl``.
+
+    The chunk files are a run's durable record; the progress snapshot
+    and the run log are status views of it.  Both are written when the
+    run starts (:meth:`flush`), then by :meth:`beat` at most once per
+    :data:`STATUS_HEARTBEAT_S` while chunks complete, and by
+    :meth:`flush` again at the end of the run and before a campaign
+    error propagates.  A kill therefore loses at most one heartbeat of
+    run-log events -- never a chunk's telemetry, which lives in its
+    chunk file.  Without a store every method is a no-op.
+    """
+
+    def __init__(self, store):
+        self.store = store
+        self.progress = None
+        self.events = []
+        self._written = None
+
+    def log(self, events):
+        """Buffer run-scoped events for the next write."""
+        self.events.extend(events)
+
+    def beat(self):
+        """Write if a heartbeat has passed since the last write."""
+        if (self._written is None
+                or time.monotonic() - self._written >= STATUS_HEARTBEAT_S):
+            self.flush()
+
+    def flush(self):
+        """Write the latest progress snapshot and the buffered events."""
+        if self.store is None:
+            return
+        if self.progress is not None:
+            self.store.write_progress(self.progress)
+            self.progress = None
+        if self.events:
+            self.store.append_run_events(self.events)
+            self.events = []
+        self._written = time.monotonic()
+
+
 def _chunk_events(record):
     """A worker's telemetry record -> the chunk's JSONL event list.
 
@@ -388,6 +435,10 @@ def run_campaign(spec, store=None, executor=None, progress=None,
     concurrent ``run_campaign`` on the same path raises
     :class:`CampaignError` instead of interleaving chunk writes; a lock
     left behind by a killed runner is detected as stale and broken.
+    ``telemetry/progress.json`` and ``telemetry/run.jsonl`` are written
+    at run start and end and at most once per
+    :data:`STATUS_HEARTBEAT_S` in between, so a chunk costs one file
+    write: its chunk file.
     """
     if not isinstance(spec, CampaignSpec):
         raise CampaignError(
@@ -395,25 +446,27 @@ def run_campaign(spec, store=None, executor=None, progress=None,
         )
     if store is not None and not isinstance(store, ArtifactStore):
         store = ArtifactStore(store)
-    if store is None:
-        return _run_campaign_locked(
-            spec, store, executor, progress, reducer, telemetry, retry,
-            retry_quarantined, lock=None,
-        )
-    lock = store.acquire_lock()
+    lock = None if store is None else store.acquire_lock()
+    status = _StatusFiles(store)
     try:
         return _run_campaign_locked(
             spec, store, executor, progress, reducer, telemetry, retry,
-            retry_quarantined, lock=lock,
+            retry_quarantined, lock=lock, status=status,
         )
+    except Exception:
+        status.flush()
+        raise
     finally:
-        lock.release()
+        if lock is not None:
+            lock.release()
 
 
 def _run_campaign_locked(spec, store, executor, progress, reducer,
-                         telemetry, retry, retry_quarantined, lock):
+                         telemetry, retry, retry_quarantined, lock,
+                         status):
     """The body of :func:`run_campaign`, with the store lock (when any)
-    already held by the caller."""
+    already held by the caller, writing its progress snapshots and run
+    events through ``status``."""
     reducer = resolve_reducer(spec, reducer)
     executor = make_executor(executor)
     policy = RetryPolicy.normalize(retry)
@@ -574,43 +627,43 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
 
     def pulse(done_chunks):
         """One chunk-completion tick: EWMA heartbeat for the in-process
-        callback, ``telemetry/progress.json`` for out-of-process status
-        readers, and the store lock's liveness mtime."""
+        callback, the progress snapshot for out-of-process status
+        readers (written at the status heartbeat), and the store lock's
+        liveness mtime."""
         event = heartbeat.beat(done_chunks)
-        if store is not None:
-            store.write_progress({
-                **event, "event": "progress", "walltime": time.time(),
-            })
+        status.progress = {
+            **event, "event": "progress", "walltime": time.time(),
+        }
         if lock is not None:
             lock.heartbeat()
         if notify is not None:
             notify(event)
 
-    if store is not None:
-        # Initial snapshot: a pure re-reduce (everything checkpointed,
-        # no pending chunks) never beats, but status readers still get
-        # an accurate done/total immediately.
-        store.write_progress({
-            "event": "progress",
-            "done": int(done),
-            "total": int(total),
-            "rate_per_s": 0.0,
-            "eta_s": None,
-            "wall_s": 0.0,
-            "walltime": time.time(),
-        })
+    # Initial snapshot: a pure re-reduce (everything checkpointed, no
+    # pending chunks) never beats, but status readers still get an
+    # accurate done/total immediately.
+    status.progress = {
+        "event": "progress",
+        "done": int(done),
+        "total": int(total),
+        "rate_per_s": 0.0,
+        "eta_s": None,
+        "wall_s": 0.0,
+        "walltime": time.time(),
+    }
     telemetry_records = {}
     pending = [
         index for index in range(total)
         if index not in completed and index not in quarantined
     ]
     if persist_telemetry:
-        store.append_run_events([*fold_events, {
+        status.log([*fold_events, {
             "event": "run_start",
             "total_chunks": total,
             "completed_chunks": len(completed),
             "walltime": time.time(),
         }])
+    status.flush()
     if pending:
         chunks = campaign_chunks(spec, pending)
         for chunk in chunks:
@@ -626,7 +679,7 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
                         result.chunk_index, failure_record
                     )
                 if persist_telemetry:
-                    store.append_run_events([{
+                    status.log([{
                         "event": "chunk_failed",
                         "chunk": result.chunk_index,
                         "attempts": int(result.attempts),
@@ -636,9 +689,8 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
                 check_reducer_tolerates()
                 done += 1
                 pulse(done)
-                fold_events = fold_frontier()
-                if fold_events:
-                    store.append_run_events(fold_events)
+                status.log(fold_frontier())
+                status.beat()
                 continue
             num_evaluated += result.indices.size
             record = getattr(result, "telemetry", None)
@@ -684,7 +736,8 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
                     complete["worker"] = record["worker"]
                     if "queue_wait_s" in record:
                         complete["queue_wait_s"] = record["queue_wait_s"]
-                store.append_run_events([complete, *fold_events])
+                status.log([complete, *fold_events])
+            status.beat()
     if next_fold != total:
         raise CampaignError(
             f"internal error: only {next_fold} of {total} chunks were "
@@ -714,7 +767,6 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
             # the counts surfaced in summary.json and reports.
             summary["num_quarantined_chunks"] = len(quarantined)
             summary["num_quarantined_samples"] = num_quarantined_samples
-        store.write_summary(summary)
         if persist_telemetry:
             merged = _merged_campaign_metrics(
                 store, telemetry_records, completed
@@ -725,12 +777,16 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
                     "campaign.chunks_quarantined", len(quarantined)
                 )
             store.write_telemetry_metrics(merged.as_dict())
-            store.append_run_events([{
+            status.log([{
                 "event": "run_complete",
                 "total_chunks": total,
                 "num_evaluated": int(num_evaluated),
                 "wall_s": time.perf_counter() - run_t0,
             }])
+        # The summary goes last: a store that has one also has its
+        # final progress snapshot and its complete run log.
+        status.flush()
+        store.write_summary(summary)
     return result
 
 

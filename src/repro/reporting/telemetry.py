@@ -218,7 +218,8 @@ def format_trace_summary(telemetry):
 
     The ``repro-campaign trace`` default view: how many events of each
     kind the store holds, then per-span-name duration statistics
-    (count / total / mean / max) aggregated over every chunk file.
+    (count / total / mean / max) aggregated over every chunk file.  The
+    per-row times of ``samples`` events form the ``sample`` row.
     """
     chunk_events = [
         event
@@ -244,12 +245,17 @@ def format_trace_summary(telemetry):
 
     spans = {}
     for event in chunk_events:
-        if event.get("event") != "span":
+        kind = event.get("event")
+        if kind == "span":
+            name, walls = event.get("name", "?"), [event.get("wall_s", 0.0)]
+        elif kind == "samples":
+            # One row-loop chunk's per-row wall times: a "sample" row.
+            name, walls = "sample", event.get("wall_s", [])
+        else:
             continue
-        name = event.get("name", "?")
-        count, total, longest = spans.get(name, (0, 0.0, 0.0))
-        wall = float(event.get("wall_s", 0.0))
-        spans[name] = (count + 1, total + wall, max(longest, wall))
+        for wall in map(float, walls):
+            count, total, longest = spans.get(name, (0, 0.0, 0.0))
+            spans[name] = (count + 1, total + wall, max(longest, wall))
     if spans:
         span_rows = [
             (

@@ -9,13 +9,14 @@ layer")::
        |          +------> failed
        +--> cancelled      (running jobs recover to queued on restart)
 
-The queue persists every mutation atomically to ``queue.json`` under
-the service root (same temp-file + ``os.replace`` discipline as the
-artifact store), so a killed service loses at most the in-memory view
--- on restart, :meth:`JobQueue.recover_running` moves jobs that were
-``running`` at kill time back to ``queued`` (incrementing their
-``resumes`` counter) and the manager resumes them through the normal
-``resume_campaign`` path from their store checkpoints.
+The queue persists every submission and transition atomically to
+``queue.json`` under the service root (same temp-file + ``os.replace``
+discipline as the artifact store), so a killed service loses at most
+the in-memory view -- on restart, :meth:`JobQueue.recover_running`
+moves jobs that were ``running`` at kill time back to ``queued``
+(incrementing their ``resumes`` counter) and the manager resumes them
+through the normal ``resume_campaign`` path from their store
+checkpoints.
 
 Job ids are ``job-<serial>-<spec-hash-prefix>``: the monotone serial
 gives submission order, the spec-hash prefix links the id to *what*
@@ -114,10 +115,11 @@ class JobRecord:
 class JobQueue:
     """Thread-safe, crash-safe FIFO of :class:`JobRecord` objects.
 
-    The in-memory dict is authoritative; every mutation persists the
-    whole queue atomically before returning, so readers of
-    ``queue.json`` (a restarted service, an operator's editor) always
-    see a consistent snapshot and a kill can never tear the file.
+    The in-memory dict is authoritative; every mutation but
+    :meth:`mark_store` persists the whole queue atomically before
+    returning, so readers of ``queue.json`` (a restarted service, an
+    operator's editor) always see a consistent snapshot and a kill can
+    never tear the file.
     Every persisted mutation also wakes the threads blocked in
     :meth:`wait_for_state_change`.
     """
@@ -247,13 +249,19 @@ class JobQueue:
         return None
 
     def mark_store(self, job_id, store_relpath):
-        """Record the job's store directory (relative to service root)."""
+        """Record the job's store directory (relative to service root).
+
+        In memory only: the next persisted mutation writes it.  A job
+        recovered from a ``queue.json`` written before then has no
+        recorded store, and
+        :meth:`~repro.service.manager.JobManager.store_for` finds the
+        same directory through the namespace convention.
+        """
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
                 raise ServiceError(f"unknown job id {job_id!r}")
             job.store = store_relpath
-            self._persist()
         return job
 
     def complete(self, job_id):

@@ -62,7 +62,8 @@ def checked_splu(matrix):
     Runs SuperLU's symmetric mode (AT+A minimum degree ordering, no
     partial pivoting) -- roughly half the factorization time and fill-in
     of the pivoted default on the symmetric positive definite bases of
-    the fast coupled path.  Only pass SPD matrices.
+    the fast coupled path and the full-mode systems of
+    :class:`~repro.solvers.linear.LinearSolver`.  Only pass SPD matrices.
     """
     try:
         return spla.splu(
@@ -72,7 +73,7 @@ def checked_splu(matrix):
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
-        raise SolverError(f"base LU factorization failed: {exc}") from exc
+        raise SolverError(f"LU factorization failed: {exc}") from exc
 
 
 class FactorizationCache:

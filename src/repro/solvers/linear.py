@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from ..errors import SolverError
-from .cache import matrix_fingerprint
+from .cache import checked_splu, matrix_fingerprint
 
 
 def solve_sparse(matrix, rhs):
@@ -34,7 +34,11 @@ class LinearSolver:
     the previous call.  The change test compares
     :func:`~repro.solvers.cache.matrix_fingerprint` content hashes, the
     exact key of the factorization cache, so any change in structure or
-    values refactorizes.
+    values refactorizes.  Factorizations use SuperLU's symmetric mode
+    (:func:`~repro.solvers.cache.checked_splu`), so the matrix must be
+    symmetric positive definite, as the FIT stiffness and heat-balance
+    systems are; a matrix that is not exactly symmetric raises
+    :class:`~repro.errors.SolverError`.
     """
 
     def __init__(self):
@@ -54,10 +58,13 @@ class LinearSolver:
             )
         fingerprint = matrix_fingerprint(matrix)
         if self._lu is None or fingerprint != self._fingerprint:
-            try:
-                self._lu = spla.splu(matrix)
-            except RuntimeError as exc:
-                raise SolverError(f"LU factorization failed: {exc}") from exc
+            if (matrix != matrix.T).nnz:
+                raise SolverError(
+                    "LinearSolver factorizes in symmetric mode; the "
+                    f"{matrix.shape[0]}x{matrix.shape[1]} matrix is not "
+                    "symmetric"
+                )
+            self._lu = checked_splu(matrix)
             self._fingerprint = fingerprint
             self.factorization_count += 1
         solution = self._lu.solve(rhs)

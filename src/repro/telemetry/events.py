@@ -13,6 +13,12 @@ and their required fields (see DESIGN.md "Telemetry"):
     (int), ``worker`` (str), ``wall_s`` (number); optional
     ``queue_wait_s`` (number), ``start_walltime`` / ``end_walltime``
     (POSIX seconds) and ``metrics`` (a ``MetricsRegistry.as_dict``).
+``samples``
+    One per chunk evaluated row by row (models without
+    ``evaluate_block``): ``count`` (int) rows and ``wall_s`` (list of
+    numbers), the wall time of each row in chunk order.  It stands in
+    for one span per row, so a chunk's telemetry stays one small event
+    however many rows it holds.
 ``run_start``
     ``total_chunks`` (int), ``completed_chunks`` (int), ``walltime``
     (POSIX seconds).
@@ -65,6 +71,7 @@ EVENT_SCHEMA = {
     "chunk": {
         "chunk": int, "samples": int, "worker": str, "wall_s": _NUMBER,
     },
+    "samples": {"count": int, "wall_s": list},
     "run_start": {
         "total_chunks": int, "completed_chunks": int, "walltime": _NUMBER,
     },

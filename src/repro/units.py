@@ -2,9 +2,9 @@
 
 The library works internally in SI units.  These helpers exist so that user
 facing code (examples, package descriptions) can state dimensions in the
-units the paper uses (millimetres, micrometres, millivolts) without magic
-factors scattered around, and so that physically impossible inputs fail
-early with a clear message.
+units the paper uses (millimetres, micrometres) without magic factors
+scattered around, and so that physically impossible inputs fail early
+with a clear message.
 """
 
 from .constants import T_ABSOLUTE_ZERO
@@ -12,7 +12,6 @@ from .errors import ReproError
 
 MM = 1.0e-3
 UM = 1.0e-6
-MV = 1.0e-3
 
 
 def mm(value):
@@ -23,11 +22,6 @@ def mm(value):
 def um(value):
     """Convert micrometres to metres."""
     return float(value) * UM
-
-
-def mv(value):
-    """Convert millivolts to volts."""
-    return float(value) * MV
 
 
 def celsius_to_kelvin(value):

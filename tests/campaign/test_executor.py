@@ -303,8 +303,11 @@ class TestBlockedChunkEvaluation:
         counters = result.telemetry["metrics"]["counters"]
         assert counters["campaign.loop_solves"] == 4
         assert "campaign.blocked_solves" not in counters
-        spans = [
-            e for e in result.telemetry["events"]
-            if e.get("event") == "span" and e["name"] == "sample"
-        ]
-        assert len(spans) == 4
+        # One ``samples`` record with a wall time per row, no row spans.
+        events = result.telemetry["events"]
+        assert not any(e.get("name") == "sample" for e in events)
+        samples = [e for e in events if e.get("event") == "samples"]
+        assert len(samples) == 1
+        assert samples[0]["count"] == 4
+        assert len(samples[0]["wall_s"]) == 4
+        assert all(wall >= 0.0 for wall in samples[0]["wall_s"])

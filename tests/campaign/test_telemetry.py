@@ -66,11 +66,14 @@ class TestPersistedTelemetry:
             assert head["chunk"] == index
             assert head["samples"] == len(toy_spec.chunk_indices(index))
             assert head["wall_s"] >= 0.0
-            # One chunk span + one span per sample.
+            # One chunk span + one samples record with a wall time per
+            # sample.
             spans = [e for e in events if e["event"] == "span"]
-            samples = [e for e in spans if e["name"] == "sample"]
-            assert len(samples) == head["samples"]
-            assert all(e["parent"] == "chunk" for e in samples)
+            assert [e["name"] for e in spans] == ["chunk"]
+            samples = [e for e in events if e["event"] == "samples"]
+            assert len(samples) == 1
+            assert samples[0]["count"] == head["samples"]
+            assert len(samples[0]["wall_s"]) == head["samples"]
 
         run_events = data["run"]
         validate_events(run_events)

@@ -98,3 +98,30 @@ class TestBlockedEvaluationLine:
         )
         assert "0 samples blocked" in report
         assert "24 per-sample fallback" in report
+
+
+class TestTraceSummarySamples:
+    def test_samples_records_form_the_sample_row(self):
+        """Each row-loop chunk's ``samples`` record contributes one
+        ``sample`` duration per row to the span table."""
+        from repro.reporting.telemetry import format_trace_summary
+
+        telemetry = {
+            "chunks": {
+                index: [
+                    {"event": "span", "name": "chunk", "t0_s": 0.0,
+                     "wall_s": 1.0, "parent": None},
+                    {"event": "samples", "count": 2,
+                     "wall_s": [0.25, 0.5 + index]},
+                ]
+                for index in range(2)
+            },
+            "run": [],
+        }
+        cells = [line.replace("|", " ").split()
+                 for line in format_trace_summary(telemetry).splitlines()]
+        rows = {row[0]: row[1:] for row in cells
+                if row[:1] in (["chunk"], ["sample"])}
+        # Name -> count, total, mean, max.
+        assert rows["sample"] == ["4", "2.5", "0.625", "1.5"]
+        assert rows["chunk"] == ["2", "2", "1", "1"]

@@ -2,7 +2,10 @@
 
 Random sequences of queue operations -- legal or not -- are applied to
 one :class:`JobQueue`; after each, a fresh ``JobQueue(root)`` must load
-records equal to the in-memory ones, in the same order.  A restart then
+the records the queue held at its last persisted mutation, in the same
+order.  Every submission and transition persists, so the reload equals
+the in-memory records except after ``mark_store``, which sets the store
+in memory for the next persisted mutation to write.  A restart then
 brings every ``running`` job back as ``queued``.  Files written in the
 older indented JSON layout must still load.
 """
@@ -29,27 +32,29 @@ def records(queue):
 
 
 def apply(queue, operation, pick):
-    """Apply one operation; a transition the state machine refuses
-    raises :class:`ServiceError` and must leave the queue unchanged."""
+    """Apply one operation; returns whether it persisted the queue.  A
+    transition the state machine refuses raises :class:`ServiceError`
+    and must leave the queue unchanged."""
     jobs = queue.jobs()
     if operation == "submit":
         queue.submit(make_toy_spec(seed=pick),
                      tenant=("alice", "bob")[pick % 2])
-        return
+        return True
     if operation == "claim_next":
-        queue.claim_next()
-        return
+        return queue.claim_next() is not None
     if not jobs:
-        return
+        return False
     job_id = jobs[pick % len(jobs)].job_id
     if operation == "mark_store":
         queue.mark_store(job_id, f"stores/default/{job_id}")
-    elif operation == "complete":
+        return False
+    if operation == "complete":
         queue.complete(job_id)
     elif operation == "fail":
         queue.fail(job_id, f"error {pick}")
     else:
         queue.cancel(job_id)
+    return True
 
 
 @settings(max_examples=40, deadline=None)
@@ -58,13 +63,15 @@ def apply(queue, operation, pick):
 def test_reload_matches_memory_after_every_operation(operations):
     with tempfile.TemporaryDirectory() as root:
         queue = JobQueue(root)
+        persisted = []
         for operation, pick in operations:
             before = records(queue)
             try:
-                apply(queue, operation, pick)
+                if apply(queue, operation, pick):
+                    persisted = records(queue)
             except ServiceError:
                 assert records(queue) == before
-            assert records(JobQueue(root)) == records(queue)
+            assert records(JobQueue(root)) == persisted
 
         running = {job.job_id: job.resumes
                    for job in queue.jobs(states=("running",))}

@@ -90,6 +90,16 @@ class TestLinearSolverCaching:
         with pytest.raises(SolverError):
             solver.solve(_spd_matrix(4), np.ones(5))
 
+    def test_non_symmetric_matrix_rejected(self):
+        """Symmetric-mode SuperLU is the only factorization path; a
+        non-symmetric matrix raises instead of being solved wrongly."""
+        solver = LinearSolver()
+        matrix = _spd_matrix(6).tolil()
+        matrix[0, 1] += 1e-9
+        with pytest.raises(SolverError, match="not symmetric"):
+            solver.solve(matrix.tocsc(), np.ones(6))
+        assert solver.factorization_count == 0
+
 
 
 def _apply(dense, operation):

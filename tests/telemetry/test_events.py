@@ -34,6 +34,7 @@ GOOD_EVENTS = [
     {"event": "progress", "done": 2, "total": 3, "rate_per_s": 2.0,
      "eta_s": 0.5, "walltime": 1.7e9},
     {"event": "status", "state": "in_progress", "chunks_folded": 2},
+    {"event": "samples", "count": 2, "wall_s": [0.01, 0.02]},
 ]
 
 

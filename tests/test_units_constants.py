@@ -26,9 +26,6 @@ class TestUnitConversions:
         assert units.mm(1.55) == pytest.approx(1.55e-3)
         assert units.um(25.4) == pytest.approx(25.4e-6)
 
-    def test_voltage(self):
-        assert units.mv(40.0) == pytest.approx(0.040)
-
     def test_temperatures(self):
         assert units.celsius_to_kelvin(250.0) == pytest.approx(523.15)
         assert units.kelvin_to_celsius(523.15) == pytest.approx(250.0)
