@@ -39,7 +39,9 @@ def main():
         spec,
         store=STORE,
         executor=ParallelExecutor(num_workers=4),
-        progress=lambda done, total: print(f"  chunk {done}/{total}"),
+        progress=lambda event: print(
+            f"  chunk {event['done']}/{event['total']}"
+        ),
     )
     print()
     print(format_campaign_summary(result.summary()))

@@ -6,9 +6,9 @@ sensitivity campaign -- the Saltelli design extended with one ``AB_ij``
 block per pair and grouped-factor blocks -- on the Ishigami function,
 whose Sobol indices of every order are known in closed form, and prints
 the estimates next to the analytic truth (the only non-zero interaction
-is S_13).  The reduction streams: each checkpointed chunk folds into
-running Jansen sums, so the full output matrix never materializes, with
-bit-identical indices.
+is S_13).  A re-reduce without bootstrap (``num_bootstrap=0``) streams:
+each checkpointed chunk folds into running Jansen sums, so the full
+output matrix never materializes, with bit-identical indices.
 
 Run with:  python examples/second_order_campaign.py [base_samples] [workers]
 
@@ -18,7 +18,7 @@ M (12 + 2 + 66) coupled transients -- size M to your budget)::
     repro-campaign sobol spec date16 --samples 64 --second-order \\
         --groups "0,1,2,3,4,5;6,7,8,9,10,11" -o sobol2.json
     repro-campaign run sobol2.json --store sens2/ \\
-        --executor process --workers 4 --streaming
+        --executor process --workers 4 --bootstrap 0
     repro-campaign report sens2/
 """
 
@@ -82,7 +82,7 @@ def main():
 
     stream = run_campaign(
         spec, store=store,
-        reducer={"kind": "jansen", "num_bootstrap": 0, "streaming": True},
+        reducer={"kind": "jansen", "num_bootstrap": 0},
     )
     match = np.array_equal(stream.second_order.interaction,
                            result.second_order.interaction)

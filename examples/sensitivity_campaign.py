@@ -40,8 +40,9 @@ def main():
     )
     store = tempfile.mkdtemp(prefix="date16-sobol-")
 
-    def progress(done, total):
-        print(f"  chunk {done}/{total} checkpointed", flush=True)
+    def progress(event):
+        print(f"  chunk {event['done']}/{event['total']} checkpointed",
+              flush=True)
 
     result = run_campaign(
         spec,

@@ -64,12 +64,13 @@ by default; ``--no-retry-quarantined`` reduces around them instead.
 
 ``--reducer`` overrides what the evaluations reduce *to*: ``moments``
 (mean/std statistics), ``jansen`` (Sobol indices; ``--bootstrap N``
-overrides the spec's CI replicates, ``--streaming`` folds chunks into
-running sums so huge vector QoIs never materialize the output matrix),
-or ``pce`` (fit the polynomial-chaos surrogate from the checkpointed
-samples -- ``--pce-degree`` sets the total degree -- and report its
-analytic Sobol indices).  ``repro-campaign resume out/ --reducer pce``
-re-reduces an existing store without a single fresh solve.
+overrides the spec's CI replicates, and ``--bootstrap 0`` folds chunks
+into running sums so huge vector QoIs never materialize the output
+matrix), or ``pce`` (fit the polynomial-chaos surrogate from the
+checkpointed samples -- ``--pce-degree`` sets the total degree -- and
+report its analytic Sobol indices).  ``repro-campaign resume out/
+--reducer pce`` re-reduces an existing store without a single fresh
+solve.
 
 ``sobol spec --second-order`` adds the ``AB_ij`` pair blocks (ranked
 interaction table in the report) and ``--groups "0,1,2;3,4"`` grouped
@@ -87,12 +88,8 @@ from .store import ArtifactStore
 
 
 def _progress_printer(stream):
-    """Heartbeat-style progress printer (single-argument event dict).
-
-    The runner detects the one-argument signature and delivers full
-    heartbeat events, so the printed line carries the EWMA chunk rate
-    and ETA on top of the classic ``chunk done/total complete`` prefix.
-    """
+    """Heartbeat progress printer: the ``chunk done/total complete``
+    line plus the event's EWMA chunk rate and ETA."""
     def progress(event):
         done = event["done"]
         total = event["total"]
@@ -164,15 +161,9 @@ def _add_reducer_arguments(parser):
     parser.add_argument(
         "--bootstrap", type=int, default=None,
         help="override the spec's bootstrap replicate count for the "
-             "jansen confidence intervals (0 disables; default: the "
-             "value pinned in the spec)",
-    )
-    parser.add_argument(
-        "--streaming", action="store_true",
-        help="fold each chunk into running Jansen sums instead of "
-             "assembling the full output matrix (bit-identical "
-             "indices; implies --bootstrap 0 because the bootstrap "
-             "must resample full rows)",
+             "jansen confidence intervals (0 disables them and folds "
+             "chunks into running sums; default: the value pinned in "
+             "the spec)",
     )
 
 
@@ -385,11 +376,9 @@ def _reducer_from_arguments(spec, arguments):
     ``--reducer`` overrides the spec's pinned reducer kind; pinned
     options survive when the explicit kind matches the pinned one (so
     ``resume --reducer pce`` on a spec that pins ``{"kind": "pce",
-    "degree": 4}`` keeps degree 4).  The jansen-only flags
-    (``--bootstrap`` / ``--streaming``) layer on top and are rejected
-    for every other kind instead of being silently dropped.
-    ``--streaming`` without an explicit ``--bootstrap`` disables the
-    intervals (the streaming reduction cannot resample rows).
+    "degree": 4}`` keeps degree 4).  The jansen-only ``--bootstrap``
+    layers on top and is rejected for every other kind instead of being
+    silently dropped.
     """
     kind = getattr(arguments, "reducer", None)
     pinned = spec.reducer or {"kind": spec.default_reducer_kind}
@@ -400,20 +389,14 @@ def _reducer_from_arguments(spec, arguments):
         options = {key: value for key, value in pinned.items()
                    if key != "kind"}
     num_bootstrap = getattr(arguments, "bootstrap", None)
-    streaming = bool(getattr(arguments, "streaming", False))
     pce_degree = getattr(arguments, "pce_degree", None)
-    if kind == "jansen":
-        if streaming and num_bootstrap is None:
-            num_bootstrap = 0
-        if num_bootstrap is not None:
-            options["num_bootstrap"] = num_bootstrap
-        if streaming:
-            options["streaming"] = True
-    elif num_bootstrap is not None or streaming:
-        raise CampaignError(
-            "--bootstrap/--streaming configure the jansen reducer; they "
-            f"do not apply to reducer {kind!r}"
-        )
+    if num_bootstrap is not None:
+        if kind != "jansen":
+            raise CampaignError(
+                "--bootstrap configures the jansen reducer; it does not "
+                f"apply to reducer {kind!r}"
+            )
+        options["num_bootstrap"] = num_bootstrap
     if pce_degree is not None:
         if kind != "pce":
             raise CampaignError(

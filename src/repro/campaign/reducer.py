@@ -36,7 +36,7 @@ them as ``{"kind": name, **options}`` in ``CampaignSpec.reducer``.
 import numpy as np
 
 from ..errors import CampaignError
-from ..uq.sensitivity import StreamingJansenAccumulator, jansen_bootstrap
+from ..uq.sensitivity import StreamingJansenAccumulator
 from ..uq.statistics import RunningStatistics
 
 _REDUCERS = {}
@@ -143,6 +143,11 @@ class Reducer:
         """
         return {"kind": self.kind}
 
+    def restores(self, config):
+        """Whether a checkpoint recorded under ``config`` (a
+        :meth:`config_dict`) continues this reduction."""
+        return config == self.config_dict()
+
     def fold(self, indices, outputs):
         """Fold one chunk of evaluations; ``indices`` continue the
         global stream exactly where the previous fold stopped."""
@@ -223,30 +228,28 @@ class MomentsReducer(Reducer):
 # ----------------------------------------------------------------------
 # Jansen: the streaming Sobol sensitivity reduction
 # ----------------------------------------------------------------------
-@register_reducer("jansen")
 class JansenReducer(Reducer):
     """Streaming Jansen Sobol reduction over a Saltelli design.
 
     Wraps the canonical
     :class:`~repro.uq.sensitivity.StreamingJansenAccumulator` (including
-    second-order ``AB_ij`` and grouped-factor blocks) and the seeded
+    second-order ``AB_ij`` and grouped-factor blocks) and its seeded
     percentile bootstrap.  Requires a
     :class:`~repro.campaign.sensitivity.SensitivitySpec`, whose
     ``num_bootstrap`` / ``confidence`` settings are the defaults so a
     flag-less resume reproduces the original confidence intervals
     exactly.
 
-    ``streaming`` picks the reduction strategy: the default (``None``)
-    streams whenever the bootstrap is disabled -- chunks fold into
-    running sums and the full output matrix never materializes.  A
-    bootstrap request forces the in-memory assembly (the bootstrap
-    resamples full rows); requesting both raises.
+    With ``num_bootstrap=0`` the reduction streams: chunks fold into
+    running sums, the full output matrix never materializes, and the
+    runner checkpoints the sums.  A bootstrap resamples full rows, so
+    then the reducer also keeps the output matrix; the point estimates
+    come from the same per-chunk folds either way.
     """
 
     kind = "jansen"
 
-    def __init__(self, spec, num_bootstrap=None, confidence=None,
-                 streaming=None):
+    def __init__(self, spec, num_bootstrap=None, confidence=None):
         from .sensitivity import SensitivitySpec
 
         if not isinstance(spec, SensitivitySpec):
@@ -262,15 +265,6 @@ class JansenReducer(Reducer):
             confidence = spec.confidence
         self.num_bootstrap = int(num_bootstrap)
         self.confidence = float(confidence)
-        if streaming is None:
-            streaming = not self.num_bootstrap
-        if streaming and self.num_bootstrap:
-            raise CampaignError(
-                "the streaming reduction folds chunks into running sums "
-                "and cannot resample rows for bootstrap intervals; pass "
-                "num_bootstrap=0 (CLI: --bootstrap 0) or streaming=False"
-            )
-        self.streaming = bool(streaming)
         self.accumulator = StreamingJansenAccumulator(
             spec.num_base_samples, spec.dimension,
             pairs=self.plan.pairs or None, groups=self.plan.groups or None,
@@ -283,30 +277,33 @@ class JansenReducer(Reducer):
             )
         self._outputs = None
 
-    #: The in-memory (bootstrap) mode's state is dominated by the
-    #: assembled output matrix -- re-folding the checkpointed chunks on
-    #: resume costs the same as restoring it, so only the streaming
-    #: mode checkpoints its (small) running sums.
+    #: A bootstrap reduction's state is dominated by the assembled
+    #: output matrix -- re-folding the checkpointed chunks on resume
+    #: costs the same as restoring it, so only the streaming reduction
+    #: checkpoints its (small) running sums.
     @property
     def checkpointable(self):
-        return self.streaming
+        return not self.num_bootstrap
 
     def config_dict(self):
         return {
             "kind": self.kind,
             "num_bootstrap": self.num_bootstrap,
             "confidence": self.confidence,
-            "streaming": self.streaming,
         }
+
+    def restores(self, config):
+        # Checkpoints written before the reduction mode followed from
+        # ``num_bootstrap`` record it as ``streaming``: the same state.
+        config = {key: value for key, value in (config or {}).items()
+                  if key != "streaming"}
+        return config == self.config_dict()
 
     def fold(self, indices, outputs):
         indices = np.asarray(indices, dtype=int)
         outputs = np.asarray(outputs, dtype=float)
         self.accumulator.add(indices, outputs)
-        if not self.streaming and indices.size:
-            # The bootstrap resamples full rows, so the in-memory mode
-            # additionally assembles the output matrix; the point
-            # estimates come from the same per-chunk folds either way.
+        if self.num_bootstrap and indices.size:
             if self._outputs is None:
                 self._outputs = np.empty(
                     (self.spec.num_samples,) + outputs.shape[1:]
@@ -320,39 +317,20 @@ class JansenReducer(Reducer):
         estimates = self.accumulator.finalize()
         interval = None
         if self.num_bootstrap:
-            plan = self.plan
-            m = spec.num_base_samples
-            outputs = self._outputs
-            output_shape = outputs.shape[1:]
-            f_a = outputs[:m]
-            f_b = outputs[m:2 * m]
-            first_stop = (2 + spec.dimension) * m
-            f_ab = outputs[2 * m:first_stop].reshape(
-                (spec.dimension, m) + output_shape
+            accumulator = self.accumulator
+            blocks = self._outputs.reshape(
+                (accumulator.num_blocks, accumulator.num_base_samples)
+                + self._outputs.shape[1:]
             )
-            f_ab_pairs = None
-            pair_stop = first_stop + plan.num_pairs * m
-            if plan.num_pairs:
-                f_ab_pairs = outputs[first_stop:pair_stop].reshape(
-                    (plan.num_pairs, m) + output_shape
-                )
-            f_ab_groups = None
-            if plan.num_groups:
-                f_ab_groups = outputs[pair_stop:].reshape(
-                    (plan.num_groups, m) + output_shape
-                )
-            interval = jansen_bootstrap(
-                f_a, f_b, f_ab, num_replicates=self.num_bootstrap,
-                seed=spec.seed, confidence=self.confidence,
-                f_ab_pairs=f_ab_pairs, pairs=plan.pairs or None,
-                f_ab_groups=f_ab_groups, groups=plan.groups or None,
+            interval = accumulator.bootstrap(
+                blocks, num_replicates=self.num_bootstrap, seed=spec.seed,
+                confidence=self.confidence,
             )
         return SensitivityResult(
             spec, estimates.first_order, interval, parameters,
             num_evaluated,
             second_order=estimates.second_order,
             group_indices=estimates.groups,
-            streamed=self.streaming,
         )
 
     def state_dict(self):
@@ -369,6 +347,26 @@ class JansenReducer(Reducer):
             np.array(outputs, dtype=float) if outputs is not None else None
         )
         return self
+
+
+@register_reducer("jansen")
+def _jansen_reducer(spec, streaming=None, **options):
+    """The ``"jansen"`` factory: a :class:`JansenReducer`.
+
+    Reducer dicts persisted by older versions (store manifests, queued
+    service jobs) may carry a ``streaming`` entry; the reduction now
+    streams exactly when ``num_bootstrap`` is 0, so the entry is
+    dropped -- except that streaming together with a bootstrap stays
+    refused, since streaming folds cannot resample rows.
+    """
+    reducer = JansenReducer(spec, **options)
+    if streaming and reducer.num_bootstrap:
+        raise CampaignError(
+            "the streaming reduction folds chunks into running sums and "
+            "cannot resample rows for bootstrap intervals; pass "
+            "num_bootstrap=0 (CLI: --bootstrap 0)"
+        )
+    return reducer
 
 
 # ----------------------------------------------------------------------

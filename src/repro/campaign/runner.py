@@ -26,7 +26,6 @@ The runner is deliberately executor-agnostic and deterministic:
   round-trips float64 exactly.
 """
 
-import inspect
 import time
 
 import numpy as np
@@ -194,36 +193,6 @@ class CampaignResult:
 # ----------------------------------------------------------------------
 # Progress and telemetry plumbing
 # ----------------------------------------------------------------------
-def _progress_adapter(progress):
-    """Wrap a progress callback into an event-dict dispatcher.
-
-    Two callback styles are supported: the legacy ``progress(done,
-    total)`` positional pair (anything accepting >= 2 positional
-    arguments, including ``*args``), and the telemetry style
-    ``progress(event)`` receiving the full heartbeat dict (done, total,
-    EWMA chunk rate, ETA).  Detection is by signature, so existing
-    callers keep working unchanged.
-    """
-    if progress is None:
-        return None
-    try:
-        parameters = inspect.signature(progress).parameters.values()
-        positional = sum(
-            1 for p in parameters
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        )
-        varargs = any(p.kind == p.VAR_POSITIONAL for p in parameters)
-    except (TypeError, ValueError):
-        positional, varargs = 2, False
-    if varargs or positional >= 2:
-        def dispatch(event):
-            progress(event["done"], event["total"])
-    else:
-        def dispatch(event):
-            progress(event)
-    return dispatch
-
-
 class _Heartbeat:
     """EWMA chunk-rate tracker producing ``heartbeat`` event dicts."""
 
@@ -395,11 +364,9 @@ def run_campaign(spec, store=None, executor=None, progress=None,
         :func:`~repro.campaign.executor.register_backend`) or an
         :class:`~repro.campaign.executor.Executor` instance.
     progress:
-        Optional callback called after every chunk completion -- either
-        the legacy ``progress(done_chunks, total_chunks)`` pair or a
-        single-argument ``progress(event)`` receiving the full
-        ``heartbeat`` telemetry event (done/total plus EWMA chunk rate
-        and ETA); the style is detected from the callback's signature.
+        Optional ``progress(event)`` callback called after every chunk
+        completion with the ``heartbeat`` telemetry event (``done`` /
+        ``total`` chunks plus EWMA chunk rate and ETA).
     reducer:
         A :class:`~repro.campaign.reducer.Reducer` instance, a kind name,
         or a ``{"kind": ..., **options}`` dict; ``None`` falls back to
@@ -531,7 +498,7 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
             meta, arrays = restored
             folded = meta.get("next_chunk", 0)
             prefix = arrays.get("__parameters__")
-            if (meta.get("reducer") == reducer.config_dict()
+            if (reducer.restores(meta.get("reducer"))
                     and meta.get("num_chunks") == total
                     and 0 < folded <= total
                     and prefix is not None
@@ -622,7 +589,6 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
     num_evaluated = 0
     chunk_retries = 0
     done = len(completed) + len(quarantined)
-    notify = _progress_adapter(progress)
     heartbeat = _Heartbeat(total)
 
     def pulse(done_chunks):
@@ -636,8 +602,8 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
         }
         if lock is not None:
             lock.heartbeat()
-        if notify is not None:
-            notify(event)
+        if progress is not None:
+            progress(event)
 
     # Initial snapshot: a pure re-reduce (everything checkpointed, no
     # pending chunks) never beats, but status readers still get an

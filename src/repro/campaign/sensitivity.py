@@ -17,11 +17,12 @@ stream -- so any executor, chunking or resume history reproduces the
 same parameter rows, and the Jansen reduction (the
 :class:`repro.uq.sensitivity.StreamingJansenAccumulator` core shared
 with the in-process path) reproduces the same indices bit for bit,
-whether it folds chunk by chunk (the streaming mode -- huge vector QoIs
-never materialize the full output matrix) or reduces the assembled
-matrix in memory.  Vector-valued quantities of interest (per-wire
-temperature traces, not just the scalar end-max) reduce per output
-component; bootstrap confidence intervals are deterministic per seed.
+whether it only streams chunks into running sums (no bootstrap -- huge
+vector QoIs never materialize the full output matrix) or also keeps the
+output matrix for the bootstrap.  Vector-valued quantities of interest
+(per-wire temperature traces, not just the scalar end-max) reduce per
+output component; bootstrap confidence intervals are deterministic per
+seed.
 
 Since the Reducer/ExecutorBackend redesign, the reduction itself lives
 in :class:`repro.campaign.reducer.JansenReducer` and the one
@@ -433,13 +434,10 @@ class SensitivityResult:
     group_indices:
         :class:`~repro.uq.sensitivity.GroupIndices` when the spec named
         factor groups, else ``None``.
-    streamed:
-        Whether the reduction streamed per chunk (never materializing
-        the full output matrix) instead of assembling it in memory.
     """
 
     def __init__(self, spec, indices, interval, parameters, num_evaluated,
-                 second_order=None, group_indices=None, streamed=False):
+                 second_order=None, group_indices=None):
         self.spec = spec
         self.indices = indices
         self.interval = interval
@@ -447,7 +445,12 @@ class SensitivityResult:
         self.num_evaluated = int(num_evaluated)
         self.second_order = second_order
         self.group_indices = group_indices
-        self.streamed = bool(streamed)
+
+    @property
+    def streamed(self):
+        """Whether the reduction streamed per chunk (never materializing
+        the full output matrix): exactly when it ran no bootstrap."""
+        return self.interval is None
 
     @property
     def first_order(self):

@@ -762,21 +762,21 @@ class ArtifactStore:
     # Helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _write_json(path, payload):
+    def _write_json(path, payload, prefix="tmp"):
         # Compact ``json.dumps`` runs the C encoder; ``indent=`` would
         # fall back to the pure-Python one.  Readers accept either form.
         text = json.dumps(payload, sort_keys=True)
         directory = os.path.dirname(path)
         try:
             descriptor, temporary = tempfile.mkstemp(
-                dir=directory, suffix=".tmp"
+                dir=directory, prefix=prefix, suffix=".tmp"
             )
         except FileNotFoundError:
             # Create the directory only when missing: the store's own
             # directories already exist after ``initialize``.
             os.makedirs(directory, exist_ok=True)
             descriptor, temporary = tempfile.mkstemp(
-                dir=directory, suffix=".tmp"
+                dir=directory, prefix=prefix, suffix=".tmp"
             )
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
             handle.write(text)

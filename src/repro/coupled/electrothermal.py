@@ -51,7 +51,6 @@ from ..solvers.linear import LinearSolver
 from ..solvers.newton import fixed_point
 from ..solvers.time_integration import TimeGrid
 from ..solvers.woodbury import WoodburySolver
-from ..telemetry import MetricsRegistry
 from ..telemetry import tracing as telemetry
 from .electrical import embed_grid_matrix
 from .quantities import StationaryResult, TransientResult
@@ -154,32 +153,9 @@ class CoupledSolver:
         self._linear_th = LinearSolver()
         #: Drive scale of the current time level (waveform support).
         self._el_scale = 1.0
-        #: Lifetime cost counters (``thermal_solver_builds``,
-        #: ``coupled_steps``); the attribute accessors below are thin
-        #: views over this registry, and ``solver_statistics()`` reports
-        #: windowed deltas against ``_stats_baseline``.
-        self.metrics = MetricsRegistry()
-        # The window opens BEFORE fast-mode setup, so the el-base
-        # factorization this constructor pays is part of the first
-        # window (a shared cache may carry counts from other solvers;
-        # those must not leak into this solver's per-run statistics).
-        self._stats_baseline = self._lifetime_counters()
         self._fast_th_solvers = OrderedDict()
         if self.mode == "fast":
             self._setup_fast()
-
-    @property
-    def thermal_solver_builds(self):
-        """Fast-mode per-dt thermal solver constructions so far (one per
-        distinct dt not found in the per-dt map; the reuse statistic).
-        View over the metrics registry."""
-        return int(self.metrics.counter_value("thermal_solver_builds"))
-
-    @property
-    def num_steps(self):
-        """Coupled implicit Euler steps taken (all modes).  View over
-        the metrics registry."""
-        return int(self.metrics.counter_value("coupled_steps"))
 
     # ------------------------------------------------------------------
     # Monte Carlo support
@@ -387,73 +363,11 @@ class CoupledSolver:
         solver = WoodburySolver(base, self._fast_u, self._fast_g_th0,
                                 cache=self.factorization_cache)
         step = _ThermalStep(self, solver)
-        self.metrics.increment("thermal_solver_builds")
         telemetry.increment("solver.thermal_builds")
         self._fast_th_solvers[key] = step
         while len(self._fast_th_solvers) > _MAX_THERMAL_SOLVERS:
             self._fast_th_solvers.popitem(last=False)
         return step
-
-    def _lifetime_counters(self):
-        """Raw lifetime totals of every windowed counter."""
-        counters = {
-            "coupled_steps": self.num_steps,
-            "thermal_solver_builds": self.thermal_solver_builds,
-        }
-        if self.factorization_cache is not None:
-            counters["factorization_cache_hits"] = (
-                self.factorization_cache.hits
-            )
-            counters["factorization_cache_misses"] = (
-                self.factorization_cache.misses
-            )
-        return counters
-
-    def begin_statistics_window(self):
-        """Open a fresh per-run statistics window.
-
-        After this call, ``solver_statistics()`` reports only what
-        happened since -- including factorization-cache hits/misses,
-        even on a cache shared with other solvers.  Returns ``self``
-        for chaining.
-        """
-        self._stats_baseline = self._lifetime_counters()
-        return self
-
-    def solver_statistics(self, lifetime=False):
-        """Reuse/cost counters for reports and benchmarks.
-
-        ``thermal_solver_builds`` counts fast-mode per-dt solver
-        constructions (each pays a base-matrix assembly, a fingerprint
-        and -- on a factorization-cache miss -- an ``splu``); it stays
-        at the number of distinct step sizes, not the number of
-        solves.  Factorization-cache hit/miss counters
-        are included when a cache is attached.
-
-        All counters report the current statistics window -- the delta
-        since construction or the latest
-        :meth:`begin_statistics_window` call -- so repeated runs and
-        shared caches yield per-run numbers; ``lifetime=True`` is the
-        escape hatch for raw process-lifetime totals.  Gauges
-        (``thermal_solvers_cached``, ``factorization_cache_entries``)
-        are instantaneous either way.
-        """
-        counters = self._lifetime_counters()
-        if not lifetime:
-            counters = {
-                key: value - self._stats_baseline.get(key, 0)
-                for key, value in counters.items()
-            }
-        stats = {
-            "mode": self.mode,
-            **counters,
-            "thermal_solvers_cached": len(self._fast_th_solvers),
-        }
-        if self.factorization_cache is not None:
-            stats["factorization_cache_entries"] = len(
-                self.factorization_cache
-            )
-        return stats
 
     # ------------------------------------------------------------------
     # Single-iterate physics evaluation
@@ -800,7 +714,6 @@ class CoupledSolver:
             )
             outputs = (t_new[:, None], np.array([iterations]), phi[:, None],
                        wire_powers[:, None], np.array([field_power]))
-        self.metrics.increment("coupled_steps", num_samples)
         telemetry.increment("solver.coupled_steps", num_samples)
         telemetry.increment("solver.fixed_point_iterations",
                             int(outputs[1].sum()))
@@ -849,7 +762,6 @@ class CoupledSolver:
                 history.append(temperatures)
                 # One loop step advances the whole block; ``_step``
                 # counts the per-sample steps.
-                self.metrics.increment("blocked_steps")
                 telemetry.increment("solver.blocked_steps")
                 iterations.append(n_iter)
                 wire_t.append(topology.wire_temperatures(temperatures))

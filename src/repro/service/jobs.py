@@ -26,11 +26,12 @@ was submitted (full hash in the record and the store's ``job.json``).
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 
 from ..campaign.spec import CampaignSpec
-from ..campaign.store import ArtifactStore
+from ..campaign.store import ArtifactStore, _pid_alive
 from ..errors import ServiceError
 from .namespace import DEFAULT_TENANT, validate_name
 
@@ -42,6 +43,9 @@ TERMINAL_STATES = ("completed", "failed", "cancelled")
 
 _QUEUE_NAME = "queue.json"
 _QUEUE_FORMAT = 1
+
+#: ``queue.json`` temp files are named ``queue.<writer pid>.<random>.tmp``.
+_QUEUE_TEMPORARY = re.compile(r"queue\.(\d+)\.\w+\.tmp")
 
 
 def spec_hash(spec):
@@ -137,6 +141,7 @@ class JobQueue:
     # Persistence
     # ------------------------------------------------------------------
     def _load(self):
+        self._sweep_temporaries()
         if not os.path.isfile(self.path):
             return
         payload = ArtifactStore._read_json(self.path)
@@ -151,13 +156,31 @@ class JobQueue:
             job = JobRecord.from_dict(record)
             self._jobs[job.job_id] = job
 
+    def _sweep_temporaries(self):
+        """Remove the ``queue.json`` temp files of dead writers.
+
+        A writer killed between ``mkstemp`` and ``os.replace`` leaves
+        its temp file in the root.  The name carries the writer's pid,
+        so the files of live writers -- another queue over the same
+        root, or this process -- are never touched.
+        """
+        if not os.path.isdir(self.root):
+            return
+        for name in os.listdir(self.root):
+            match = _QUEUE_TEMPORARY.fullmatch(name)
+            if match and not _pid_alive(int(match.group(1))):
+                try:
+                    os.remove(os.path.join(self.root, name))
+                except FileNotFoundError:
+                    pass  # a concurrent sweep got there first
+
     def _persist(self):
         # Caller holds self._lock.
         ArtifactStore._write_json(self.path, {
             "format_version": _QUEUE_FORMAT,
             "next_serial": self._next_serial,
             "jobs": [job.to_dict() for job in self._jobs.values()],
-        })
+        }, prefix=f"queue.{os.getpid()}.")
         self._changed.notify_all()
 
     # ------------------------------------------------------------------

@@ -16,9 +16,11 @@ in-memory entry points (:func:`jansen_indices`,
 one call, and the distributed campaign
 (:mod:`repro.campaign.sensitivity`) feeds it chunk by chunk, so both
 paths produce bit-identical indices for the same design regardless of
-chunk size, worker count or kill/resume history.  The in-process driver
-:func:`sobol_indices` evaluates a scalar model serially on top of the
-same core.
+chunk size, worker count or kill/resume history.  One estimator,
+:func:`_jansen_estimates`, turns the sums into indices, for the point
+estimates and for every bootstrap replicate of :func:`jansen_bootstrap`.
+The in-process driver :func:`sobol_indices` evaluates a scalar model
+serially on top of the same core.
 """
 
 import numpy as np
@@ -36,6 +38,17 @@ _BOOTSTRAP_SPAWN_KEY = 0xB0075
 #: design larger than the budget (trace QoIs) resamples one replicate
 #: at a time.
 _BOOTSTRAP_SLICE_BYTES = 40 << 10
+
+#: The :func:`_jansen_estimates` entries the bootstrap bounds, and the
+#: :class:`BootstrapInterval` fields (``<field>_lower/_upper``) they fill.
+_BOOTSTRAP_BOUNDS = {
+    "first": "first_order",
+    "total": "total",
+    "pair_closed": "closed_second_order",
+    "interaction": "second_order",
+    "group_closed": "group_closed",
+    "group_total": "group_total",
+}
 
 
 def saltelli_sample(num_base_samples, dimension, seed=None):
@@ -311,9 +324,11 @@ class StreamingJansenAccumulator:
 
     The canonical Jansen reduction: every entry point (the in-memory
     :func:`jansen_indices` family and the distributed campaign) feeds
-    this accumulator, which processes evaluations **row by row in
-    global-index order** -- so the floating-point operation sequence is
-    a pure function of the design, independent of how the stream was
+    this accumulator, which adds each swap block's squared differences
+    to its running sums **row by row in global-index order** (one
+    ``np.cumsum`` per block segment of a chunk, see
+    :func:`_fold_squares`) -- so the floating-point operation sequence
+    is a pure function of the design, independent of how the stream was
     chunked.  Feeding chunk sizes 1, 7 or the whole design produces
     bit-identical indices.
 
@@ -360,11 +375,12 @@ class StreamingJansenAccumulator:
             )
         self._subsets = subsets
         self._next = 0
-        self._f_a = None
-        self._f_b = None
-        self._sums_b = None
-        self._sums_a = None
-        self._scalar_lists = None
+        #: ``[f_A, f_B]`` rows, ``(2, M, K)``, and per swap block the
+        #: running sums ``[sum (f_A - f_ABu)^2, sum (f_B - f_ABu)^2]``,
+        #: ``(2, subsets, K)``: row ``i`` of the sums pairs with row
+        #: ``i`` of the retained blocks.
+        self._retained = None
+        self._sums = None
         self._output_shape = None
 
     @property
@@ -427,42 +443,21 @@ class StreamingJansenAccumulator:
             )
         flat = outputs.reshape(indices.size, -1)
         m = self.num_base_samples
-        if self._scalar_lists is not None:
-            # Scalar fast path: identical IEEE operations in identical
-            # order, on Python floats instead of 1-element arrays
-            # (several times less interpreter overhead per row, which
-            # dominates the bootstrap's replicate sweeps).
-            f_a, f_b, sums_b, sums_a = self._scalar_lists
-            values = flat[:, 0].tolist()
-            for position in range(indices.size):
-                block, row = divmod(self._next + position, m)
-                value = values[position]
-                if block == 0:
-                    f_a[row] = value
-                elif block == 1:
-                    f_b[row] = value
-                else:
-                    subset = block - 2
-                    diff = f_b[row] - value
-                    sums_b[subset] += diff * diff
-                    diff = f_a[row] - value
-                    sums_a[subset] += diff * diff
-        else:
-            f_a, f_b = self._f_a, self._f_b
-            sums_b, sums_a = self._sums_b, self._sums_a
-            for position in range(indices.size):
-                block, row = divmod(self._next + position, m)
-                value = flat[position]
-                if block == 0:
-                    f_a[row] = value
-                elif block == 1:
-                    f_b[row] = value
-                else:
-                    subset = block - 2
-                    diff = f_b[row] - value
-                    sums_b[subset] += diff * diff
-                    diff = f_a[row] - value
-                    sums_a[subset] += diff * diff
+        position = 0
+        while position < indices.size:
+            # One segment per block: the chunk's rows of that block.
+            block, row = divmod(self._next + position, m)
+            count = min(m - row, indices.size - position)
+            values = flat[position:position + count]
+            rows = slice(row, row + count)
+            if block < 2:
+                self._retained[block, rows] = values
+            else:
+                subset = block - 2
+                self._sums[:, subset] = _fold_squares(
+                    self._sums[:, subset], self._retained[:, rows] - values
+                )
+            position += count
         self._next = stop
         return self
 
@@ -470,114 +465,75 @@ class StreamingJansenAccumulator:
         self._output_shape = output_shape
         num_components = int(np.prod(output_shape, dtype=int))
         m = self.num_base_samples
-        if num_components == 1:
-            self._scalar_lists = (
-                [0.0] * m, [0.0] * m,
-                [0.0] * len(self._subsets), [0.0] * len(self._subsets),
-            )
-            return
-        self._scalar_lists = None
-        self._f_a = np.empty((m, num_components))
-        self._f_b = np.empty((m, num_components))
-        self._sums_b = np.zeros((len(self._subsets), num_components))
-        self._sums_a = np.zeros((len(self._subsets), num_components))
+        self._retained = np.empty((2, m, num_components))
+        self._sums = np.zeros((2, len(self._subsets), num_components))
 
     def state_dict(self):
         """Serializable running state (exact float64 round trip).
 
         Captures the folded position, retained ``A``/``B`` blocks and the
         per-subset running sums; :meth:`load_state_dict` restores an
-        accumulator that continues bit-identically (Python floats and
-        float64 arrays round-trip exactly), which is what lets a campaign
-        checkpoint its reduction beside the chunk files.
+        accumulator that continues bit-identically, which is what lets a
+        campaign checkpoint its reduction beside the chunk files.
         """
         state = {"num_folded": np.asarray(self._next)}
         if self._output_shape is None:
             return state
         state["output_shape"] = np.asarray(self._output_shape, dtype=int)
-        if self._scalar_lists is not None:
-            f_a, f_b, sums_b, sums_a = self._scalar_lists
-            state["f_a"] = np.asarray(f_a)
-            state["f_b"] = np.asarray(f_b)
-            state["sums_b"] = np.asarray(sums_b)
-            state["sums_a"] = np.asarray(sums_a)
-        else:
-            state["f_a"] = self._f_a.copy()
-            state["f_b"] = self._f_b.copy()
-            state["sums_b"] = self._sums_b.copy()
-            state["sums_a"] = self._sums_a.copy()
+        for name, (array, row) in self._state_arrays().items():
+            state[name] = array[row].copy()
         return state
 
     def load_state_dict(self, state):
-        """Restore :meth:`state_dict` output in place; returns ``self``."""
+        """Restore :meth:`state_dict` output in place; returns ``self``.
+
+        Scalar-QoI states stored as flat ``(M,)`` / ``(subsets,)``
+        arrays load too (the reshape below restores the component axis).
+        """
         self._next = int(np.asarray(state["num_folded"]))
         if "output_shape" not in state:
-            self._f_a = self._f_b = self._sums_b = self._sums_a = None
-            self._scalar_lists = None
+            self._retained = self._sums = None
             self._output_shape = None
             return self
         shape = tuple(
             int(v) for v in np.asarray(state["output_shape"]).ravel()
         )
         self._allocate(shape)
-        if self._scalar_lists is not None:
-            # Scalar fast path: restore the Python-float lists (exact
-            # float64 <-> float round trip).
-            self._scalar_lists = (
-                np.asarray(state["f_a"], dtype=float).ravel().tolist(),
-                np.asarray(state["f_b"], dtype=float).ravel().tolist(),
-                np.asarray(state["sums_b"], dtype=float).ravel().tolist(),
-                np.asarray(state["sums_a"], dtype=float).ravel().tolist(),
+        for name, (array, row) in self._state_arrays().items():
+            array[row] = np.asarray(state[name], dtype=float).reshape(
+                array[row].shape
             )
-        else:
-            self._f_a[:] = np.asarray(state["f_a"], dtype=float)
-            self._f_b[:] = np.asarray(state["f_b"], dtype=float)
-            self._sums_b[:] = np.asarray(state["sums_b"], dtype=float)
-            self._sums_a[:] = np.asarray(state["sums_a"], dtype=float)
         return self
 
-    def _materialize_scalar_lists(self):
-        """Convert the fast-path Python-float state to the array form
-        ``finalize`` reduces (exact: float <-> float64 round-trips)."""
-        f_a, f_b, sums_b, sums_a = self._scalar_lists
-        self._f_a = np.asarray(f_a).reshape(-1, 1)
-        self._f_b = np.asarray(f_b).reshape(-1, 1)
-        self._sums_b = np.asarray(sums_b).reshape(-1, 1)
-        self._sums_a = np.asarray(sums_a).reshape(-1, 1)
-        self._scalar_lists = None
+    def _state_arrays(self):
+        """State entry name -> ``(array, row)`` holding it."""
+        return {"f_a": (self._retained, 0), "f_b": (self._retained, 1),
+                "sums_a": (self._sums, 0), "sums_b": (self._sums, 1)}
 
     def finalize(self, num_evaluations=None):
         """Reduce the folded stream into :class:`JansenEstimates`.
 
-        ``S^c_u  = (V - mean((f_B - f_ABu)^2) / 2) / V``
-        ``ST_u   = mean((f_A - f_ABu)^2) / (2 V)``
-
-        per swap subset ``u`` and output component, with ``V`` the
-        sample variance of the pooled ``A``/``B`` outputs.  A scalar QoI
-        with zero variance raises; for vector QoIs only the
-        zero-variance components report ``NaN`` (variance 0) -- all of
-        them degenerate raises.  ``num_evaluations`` overrides the
-        recorded budget (defaults to the stream length).
+        The estimates are :func:`_jansen_estimates` of the running sums,
+        with ``V`` the sample variance of the pooled ``A``/``B`` outputs
+        per component.  A scalar QoI with zero variance raises; for
+        vector QoIs only the zero-variance components report ``NaN``
+        (variance 0) -- all of them degenerate raises.
+        ``num_evaluations`` overrides the recorded budget (defaults to
+        the stream length).
         """
         if self._next != self.num_evaluations:
             raise SamplingError(
                 f"incomplete Saltelli stream: folded {self._next} of "
                 f"{self.num_evaluations} evaluations"
             )
-        if self._scalar_lists is not None:
-            self._materialize_scalar_lists()
-        m = self.num_base_samples
-        num_components = self._f_a.shape[1]
-        variance = np.empty(num_components)
-        for component in range(num_components):
-            combined = np.concatenate(
-                [self._f_a[:, component], self._f_b[:, component]]
-            )
+        f_a, f_b = self._retained
+        variance = np.empty(f_a.shape[1])
+        for component in range(f_a.shape[1]):
+            combined = np.concatenate([f_a[:, component], f_b[:, component]])
             variance[component] = np.var(combined, ddof=1)
         degenerate = variance <= 0.0
-        scalar = self._output_shape == ()
         if degenerate.all():
-            if scalar:
+            if self._output_shape == ():
                 raise SamplingError(
                     "model output has zero variance; Sobol indices are "
                     "undefined"
@@ -586,79 +542,135 @@ class StreamingJansenAccumulator:
                 "every output component has zero variance; Sobol indices "
                 "are undefined"
             )
-        variance = np.where(degenerate, 0.0, variance)
-        # Masked denominator: degenerate components are overwritten with
-        # NaN below, so no division warning can escape.
-        safe = np.where(degenerate, 1.0, variance)
-        closed = (safe - 0.5 * (self._sums_b / m)) / safe
-        total = (0.5 * (self._sums_a / m)) / safe
-        closed[:, degenerate] = np.nan
-        total[:, degenerate] = np.nan
-
+        num_first = self.dimension if self.include_first_order else 0
+        estimates = _jansen_estimates(
+            variance, self._sums[1], self._sums[0], self.num_base_samples,
+            num_first, self.pairs,
+        )
+        variance = np.where(degenerate, 0.0, variance).reshape(
+            self._output_shape
+        )
         if num_evaluations is None:
             num_evaluations = self.num_evaluations
-        num_first = self.dimension if self.include_first_order else 0
-        num_pairs = len(self.pairs)
-        first_raw = closed[:num_first]
 
         first_order = None
         if self.include_first_order:
-            first = np.clip(first_raw, 0.0, None)
-            first_total = total[:num_first]
-            clipped = first > first_total
-            first = np.where(clipped, first_total, first)
             first_order = SobolIndices(
-                self._shaped(first, num_first),
-                self._shaped(first_total, num_first),
-                self._shaped_variance(variance),
-                num_evaluations,
-                clipped=self._shaped(clipped, num_first),
+                self._shaped(estimates["first"]),
+                self._shaped(estimates["total"]),
+                variance, num_evaluations,
+                clipped=self._shaped(estimates["clipped"]),
             )
-
         second_order = None
-        if num_pairs:
-            pair_closed = closed[num_first:num_first + num_pairs]
-            pair_total = total[num_first:num_first + num_pairs]
-            if self.include_first_order:
-                interaction_raw = np.stack([
-                    pair_closed[p] - first_raw[i] - first_raw[j]
-                    for p, (i, j) in enumerate(self.pairs)
-                ])
-            else:
-                interaction_raw = np.full_like(pair_closed, np.nan)
-            pair_clipped = interaction_raw < 0.0
-            interaction = np.where(pair_clipped, 0.0, interaction_raw)
+        if self.pairs:
             second_order = SecondOrderIndices(
                 self.pairs,
-                self._shaped(pair_closed, num_pairs),
-                self._shaped(interaction, num_pairs),
-                self._shaped(pair_total, num_pairs),
-                self._shaped_variance(variance),
-                num_evaluations,
-                clipped=self._shaped(pair_clipped, num_pairs),
+                self._shaped(estimates["pair_closed"]),
+                self._shaped(estimates["interaction"]),
+                self._shaped(estimates["pair_total"]),
+                variance, num_evaluations,
+                clipped=self._shaped(estimates["pair_clipped"]),
             )
-
         groups = None
         if self.groups:
-            start = num_first + num_pairs
             groups = GroupIndices(
                 self.groups,
-                self._shaped(closed[start:], len(self.groups)),
-                self._shaped(total[start:], len(self.groups)),
-                self._shaped_variance(variance),
-                num_evaluations,
+                self._shaped(estimates["group_closed"]),
+                self._shaped(estimates["group_total"]),
+                variance, num_evaluations,
             )
         return JansenEstimates(first_order, second_order, groups)
 
-    def _shaped(self, values, leading):
-        if self._output_shape == ():
-            return values[:, 0]
-        return values.reshape((leading,) + self._output_shape)
+    def bootstrap(self, blocks, num_replicates=100, seed=0,
+                  confidence=0.95):
+        """Percentile-bootstrap :class:`BootstrapInterval` of a design
+        with this accumulator's block layout.
 
-    def _shaped_variance(self, variance):
-        if self._output_shape == ():
-            return variance[0]
-        return variance.reshape(self._output_shape)
+        ``blocks`` holds the ``num_blocks`` evaluation blocks (each
+        ``(M, *out)``) in stream order -- a list, or the output stream
+        reshaped to ``(num_blocks, M, *out)``.  See
+        :func:`jansen_bootstrap`; every replicate goes through
+        :func:`_jansen_estimates`, the estimator of :meth:`finalize`.
+        """
+        num_replicates = int(num_replicates)
+        if num_replicates < 1:
+            raise SamplingError(
+                f"num_replicates must be >= 1, got {num_replicates}"
+            )
+        if not 0.0 < confidence < 1.0:
+            raise SamplingError(
+                f"confidence must be in (0, 1), got {confidence!r}"
+            )
+        m = self.num_base_samples
+        slice_size = max(
+            1, _BOOTSTRAP_SLICE_BYTES // (blocks[0].nbytes * len(blocks))
+        )
+        rng = np.random.default_rng(
+            np.random.SeedSequence(
+                entropy=int(seed), spawn_key=(_BOOTSTRAP_SPAWN_KEY,)
+            )
+        )
+        num_first = self.dimension if self.include_first_order else 0
+        collected = {}
+        num_kept = 0
+        for offset in range(0, num_replicates, slice_size):
+            # One draw per replicate, in replicate order: the rows do not
+            # depend on the slicing.
+            rows = np.stack([
+                rng.integers(0, m, size=m)
+                for _ in range(min(slice_size, num_replicates - offset))
+            ])
+
+            def resample(block):
+                return block.reshape(m, -1)[rows]  # (R, M, C)
+
+            f_a, f_b = resample(blocks[0]), resample(blocks[1])
+            variance = _pooled_variance(f_a, f_b)
+            sums_b = np.empty((len(rows), len(self._subsets),
+                               variance.shape[1]))
+            sums_a = np.empty_like(sums_b)
+            # One swap block at a time bounds the peak memory of trace
+            # QoIs at a few resampled blocks.
+            for subset, block in enumerate(blocks[2:]):
+                swap = resample(block)
+                sums_b[:, subset] = np.sum((f_b - swap) ** 2, axis=1)
+                sums_a[:, subset] = np.sum((f_a - swap) ** 2, axis=1)
+            estimates = _jansen_estimates(
+                variance[:, np.newaxis], sums_b, sums_a, m, num_first,
+                self.pairs,
+            )
+            # A resample with zero variance in every component has
+            # undefined indices: it is dropped, and the replicate count
+            # reflects it.
+            kept = (variance > 0.0).any(axis=1)
+            num_kept += int(np.count_nonzero(kept))
+            for key in _BOOTSTRAP_BOUNDS:
+                if key in estimates:
+                    collected.setdefault(key, []).append(
+                        estimates[key][kept]
+                    )
+        if not num_kept:
+            raise SamplingError(
+                "every bootstrap replicate had zero output variance"
+            )
+
+        alpha = 0.5 * (1.0 - confidence)
+        bounds = {}
+        for key, field in _BOOTSTRAP_BOUNDS.items():
+            if key not in collected:
+                continue
+            # One estimate family at a time, releasing its slices.
+            values = np.concatenate(collected.pop(key))
+            shape = values.shape[1:2] + blocks[0].shape[1:]
+            bounds[field + "_lower"] = np.quantile(
+                values, alpha, axis=0).reshape(shape)
+            bounds[field + "_upper"] = np.quantile(
+                values, 1.0 - alpha, axis=0).reshape(shape)
+        return BootstrapInterval(num_replicates=num_kept,
+                                 confidence=confidence, **bounds)
+
+    def _shaped(self, values):
+        return values.reshape(values.shape[:1] + self._output_shape)
 
     def __repr__(self):
         return (
@@ -669,34 +681,156 @@ class StreamingJansenAccumulator:
         )
 
 
-def _validated_blocks(f_a, f_b, f_swaps, name):
+def _fold_squares(running, differences):
+    """``running`` plus the squares of ``differences``, row by row.
+
+    ``differences`` is ``(2, rows, K)`` and ``running`` ``(2, K)``.
+    ``np.cumsum`` adds strictly in row order, so the last partial sum
+    is the value a Python loop of ``running += d * d`` over the rows
+    produces, bit for bit (``np.sum`` would sum pairwise instead).
+    """
+    squares = differences * differences
+    squares[:, 0] += running
+    return np.cumsum(squares, axis=1)[:, -1]
+
+
+def _jansen_estimates(variance, sums_b, sums_a, num_base_samples,
+                      num_first, pairs):
+    """The Jansen/Saltelli estimates of stacked swap blocks.
+
+    ``sums_b`` / ``sums_a`` hold, per swap block (axis -2) and output
+    component (axis -1), the sums over the ``M`` base rows of
+    ``(f_B - f_ABu)^2`` and ``(f_A - f_ABu)^2``; leading axes (the
+    bootstrap's replicates) pass through, and ``variance`` broadcasts
+    against them.  Blocks are laid out ``[AB_i (num_first), AB_ij
+    (pairs), AB_g ..]`` as in :class:`StreamingJansenAccumulator`::
+
+        S^c_u = (V - sum_b / (2 M)) / V
+        ST_u  = sum_a / (2 M V)
+
+    First-order estimates are clipped into ``[0, ST_i]`` (``clipped``
+    flags those above ``ST_i``); the interaction ``S^c_ij - S_i - S_j``
+    uses the raw first-order estimates (``NaN`` without first-order
+    blocks) and clips negative values to zero (``pair_clipped``).
+    Zero-variance components report ``NaN``.  Returns a dict of
+    arrays; the pair and group entries only when the design has them.
+    """
+    degenerate = variance <= 0.0
+    # Masked denominator: degenerate components become NaN, so no
+    # division warning can escape.
+    safe = np.where(degenerate, 1.0, variance)
+    m = num_base_samples
+    closed = np.where(degenerate, np.nan,
+                      (safe - 0.5 * (sums_b / m)) / safe)
+    total = np.where(degenerate, np.nan, (0.5 * (sums_a / m)) / safe)
+    first_raw = closed[..., :num_first, :]
+    first_total = total[..., :num_first, :]
+    first = np.clip(first_raw, 0.0, None)
+    clipped = first > first_total
+    estimates = {
+        "first": np.where(clipped, first_total, first),
+        "total": first_total,
+        "clipped": clipped,
+    }
+    stop = num_first + len(pairs)
+    if pairs:
+        pair_closed = closed[..., num_first:stop, :]
+        if num_first:
+            left, right = np.asarray(pairs, dtype=np.intp).T
+            interaction = (pair_closed - first_raw[..., left, :]
+                           - first_raw[..., right, :])
+        else:
+            interaction = np.full_like(pair_closed, np.nan)
+        pair_clipped = interaction < 0.0
+        estimates.update(
+            pair_closed=pair_closed,
+            pair_total=total[..., num_first:stop, :],
+            interaction=np.where(pair_clipped, 0.0, interaction),
+            pair_clipped=pair_clipped,
+        )
+    if closed.shape[-2] > stop:
+        estimates.update(group_closed=closed[..., stop:, :],
+                         group_total=total[..., stop:, :])
+    return estimates
+
+
+def _in_memory_design(f_a, f_b, f_ab=None, f_ab_pairs=None, pairs=None,
+                      f_ab_groups=None, groups=None, dimension=None):
+    """Validate the evaluation blocks of one in-memory Saltelli design.
+
+    Returns the (empty) :class:`StreamingJansenAccumulator` of the
+    design's block layout and the list of its ``(M, *out)`` evaluation
+    blocks in stream order.  ``pairs`` defaults to every pair
+    when ``f_ab_pairs`` is given; ``dimension`` to ``f_ab``'s block
+    count, else the highest referenced group column + 1.
+    """
     f_a = np.asarray(f_a, dtype=float)
     f_b = np.asarray(f_b, dtype=float)
-    f_swaps = np.asarray(f_swaps, dtype=float)
     if f_a.shape != f_b.shape:
         raise SamplingError(
             f"f_a shape {f_a.shape} does not match f_b shape {f_b.shape}"
         )
-    if f_swaps.ndim != f_a.ndim + 1 or f_swaps.shape[1:] != f_a.shape:
-        raise SamplingError(
-            f"{name} shape {f_swaps.shape} does not match (n, *{f_a.shape})"
-        )
     if f_a.shape[0] < 2:
         raise SamplingError("need at least 2 base samples")
-    return f_a, f_b, f_swaps
+    if pairs is not None and f_ab_pairs is None:
+        raise SamplingError(
+            "pairs= needs the matching f_ab_pairs evaluation blocks"
+        )
+    if groups is not None and f_ab_groups is None:
+        raise SamplingError(
+            "groups= needs the matching f_ab_groups evaluation blocks"
+        )
+    if f_ab_groups is not None and groups is None:
+        raise SamplingError(
+            "f_ab_groups needs the matching groups= column subsets"
+        )
+    families = []
+    for name, blocks in (("f_ab", f_ab), ("f_ab_pairs", f_ab_pairs),
+                         ("f_ab_groups", f_ab_groups)):
+        if blocks is None:
+            continue
+        blocks = np.asarray(blocks, dtype=float)
+        if blocks.ndim != f_a.ndim + 1 or blocks.shape[1:] != f_a.shape:
+            raise SamplingError(
+                f"{name} shape {blocks.shape} does not match "
+                f"(n, *{f_a.shape})"
+            )
+        families.append(blocks)
+    if dimension is None:
+        if f_ab is not None:
+            dimension = families[0].shape[0]
+        else:
+            dimension = 1 + max(
+                (_column_index(column) for group in groups
+                 for column in group),
+                default=0,
+            )
+    if f_ab_pairs is not None and pairs is None:
+        pairs = all_pairs(dimension)
+    accumulator = StreamingJansenAccumulator(
+        f_a.shape[0], dimension, pairs=pairs, groups=groups,
+        include_first_order=f_ab is not None,
+    )
+    for name, blocks, subsets in (("pair", f_ab_pairs, accumulator.pairs),
+                                  ("group", f_ab_groups,
+                                   accumulator.groups)):
+        if blocks is not None and len(blocks) != len(subsets):
+            raise SamplingError(
+                f"{len(blocks)} {name} blocks do not match "
+                f"{len(subsets)} {name}s"
+            )
+    return accumulator, [f_a, f_b, *(block for family in families
+                                     for block in family)]
 
 
-def _feed_blocks(accumulator, f_a, f_b, *swap_families):
-    """Feed in-memory blocks through the canonical streaming order."""
-    m = f_a.shape[0]
-    accumulator.add(np.arange(m), f_a)
-    accumulator.add(np.arange(m, 2 * m), f_b)
-    offset = 2 * m
-    for family in swap_families:
-        for block in family:
-            accumulator.add(np.arange(offset, offset + m), block)
-            offset += m
-    return accumulator
+def _reduce_in_memory(num_evaluations, *arguments, **subsets):
+    """:meth:`StreamingJansenAccumulator.finalize` of one in-memory
+    design, folded one block at a time."""
+    accumulator, blocks = _in_memory_design(*arguments, **subsets)
+    for block in blocks:
+        start = accumulator.num_folded
+        accumulator.add(np.arange(start, start + len(block)), block)
+    return accumulator.finalize(num_evaluations=num_evaluations)
 
 
 def jansen_indices(f_a, f_b, f_ab, num_evaluations=None):
@@ -729,12 +863,9 @@ def jansen_indices(f_a, f_b, f_ab, num_evaluations=None):
     while every varying component still reduces; it raises only when
     *no* component varies.
     """
-    f_a, f_b, f_ab = _validated_blocks(f_a, f_b, f_ab, "f_ab")
-    accumulator = StreamingJansenAccumulator(
-        f_a.shape[0], f_ab.shape[0]
-    )
-    _feed_blocks(accumulator, f_a, f_b, f_ab)
-    return accumulator.finalize(num_evaluations=num_evaluations).first_order
+    return _reduce_in_memory(
+        num_evaluations, f_a, f_b, f_ab
+    ).first_order
 
 
 def jansen_second_order(f_a, f_b, f_ab, f_ab_pairs, pairs=None,
@@ -751,25 +882,8 @@ def jansen_second_order(f_a, f_b, f_ab, f_ab_pairs, pairs=None,
     quantity -- the same degeneracy contract as the first-order path --
     instead of emitting division warnings.
     """
-    f_a, f_b, f_ab = _validated_blocks(f_a, f_b, f_ab, "f_ab")
-    f_a, f_b, f_ab_pairs = _validated_blocks(
-        f_a, f_b, f_ab_pairs, "f_ab_pairs"
-    )
-    dimension = f_ab.shape[0]
-    if pairs is None:
-        pairs = all_pairs(dimension)
-    pairs = normalize_pairs(pairs, dimension)
-    if len(pairs) != f_ab_pairs.shape[0]:
-        raise SamplingError(
-            f"{f_ab_pairs.shape[0]} pair blocks do not match "
-            f"{len(pairs)} pairs"
-        )
-    accumulator = StreamingJansenAccumulator(
-        f_a.shape[0], dimension, pairs=pairs
-    )
-    _feed_blocks(accumulator, f_a, f_b, f_ab, f_ab_pairs)
-    return accumulator.finalize(
-        num_evaluations=num_evaluations
+    return _reduce_in_memory(
+        num_evaluations, f_a, f_b, f_ab, f_ab_pairs=f_ab_pairs, pairs=pairs
     ).second_order
 
 
@@ -782,26 +896,10 @@ def jansen_group_indices(f_a, f_b, f_ab_groups, groups, dimension=None,
     the highest referenced column + 1.  Zero-variance output components
     report ``NaN``.
     """
-    f_a, f_b, f_ab_groups = _validated_blocks(
-        f_a, f_b, f_ab_groups, "f_ab_groups"
-    )
-    groups = list(groups)
-    if len(groups) != f_ab_groups.shape[0]:
-        raise SamplingError(
-            f"{f_ab_groups.shape[0]} group blocks do not match "
-            f"{len(groups)} groups"
-        )
-    if dimension is None:
-        dimension = 1 + max(
-            (_column_index(column) for group in groups
-             for column in group),
-            default=0,
-        )
-    accumulator = StreamingJansenAccumulator(
-        f_a.shape[0], dimension, groups=groups, include_first_order=False
-    )
-    _feed_blocks(accumulator, f_a, f_b, f_ab_groups)
-    return accumulator.finalize(num_evaluations=num_evaluations).groups
+    return _reduce_in_memory(
+        num_evaluations, f_a, f_b, f_ab_groups=f_ab_groups, groups=groups,
+        dimension=dimension,
+    ).groups
 
 
 class BootstrapInterval:
@@ -871,53 +969,6 @@ def _pooled_variance(f_a, f_b):
             + np.sum((f_b - mean) ** 2, axis=1)) / (count - 1)
 
 
-def _replicate_estimates(f_a, f_b, f_ab, f_ab_pairs, pairs, f_ab_groups,
-                         groups):
-    """One vectorized Jansen evaluation of a stack of resampled designs.
-
-    Every argument carries a leading replicate axis and flattened output
-    components: ``f_a``/``f_b`` are ``(R, M, 1, C)`` and each swap
-    family is ``(R, M, blocks, C)``.  Same expressions and degeneracy
-    contract as :meth:`StreamingJansenAccumulator.finalize`, but with
-    vectorized reductions: bootstrap replicates only need per-seed
-    determinism, not the streaming bit-for-bit property.  Returns the
-    ``(R, blocks, C)`` estimates and ``"kept"``, the replicates with at
-    least one non-degenerate output component (the indices of a
-    replicate whose every component has zero variance are undefined).
-    """
-    variance = _pooled_variance(f_a, f_b)
-    degenerate = variance <= 0.0
-    safe = np.where(degenerate, 1.0, variance)
-
-    def closed_and_total(blocks):
-        mean_b = np.mean((f_b - blocks) ** 2, axis=1)
-        mean_a = np.mean((f_a - blocks) ** 2, axis=1)
-        closed = np.where(degenerate, np.nan, (safe - 0.5 * mean_b) / safe)
-        total = np.where(degenerate, np.nan, (0.5 * mean_a) / safe)
-        return closed, total
-
-    first_raw, first_total = closed_and_total(f_ab)
-    first = np.clip(first_raw, 0.0, None)
-    estimates = {
-        "kept": ~degenerate.all(axis=(1, 2)),
-        "first": np.where(first > first_total, first_total, first),
-        "total": first_total,
-    }
-    if f_ab_pairs is not None:
-        pair_closed, _ = closed_and_total(f_ab_pairs)
-        left, right = np.asarray(pairs, dtype=np.intp).T
-        interaction = (pair_closed - first_raw[:, left]
-                       - first_raw[:, right])
-        estimates["pair_closed"] = pair_closed
-        estimates["interaction"] = np.where(interaction < 0.0, 0.0,
-                                            interaction)
-    if f_ab_groups is not None:
-        estimates["group_closed"], estimates["group_total"] = (
-            closed_and_total(f_ab_groups)
-        )
-    return estimates
-
-
 def jansen_bootstrap(f_a, f_b, f_ab, num_replicates=100, seed=0,
                      confidence=0.95, f_ab_pairs=None, pairs=None,
                      f_ab_groups=None, groups=None):
@@ -928,18 +979,20 @@ def jansen_bootstrap(f_a, f_b, f_ab, num_replicates=100, seed=0,
     block evaluation, preserving the pairing), re-estimates the indices
     per replicate and returns percentile bounds.  Deterministic for a
     given ``seed``, so a resumed campaign reports the same intervals as
-    an uninterrupted one.  (Replicates reduce vectorized -- the
+    an uninterrupted one.  Each replicate goes through the estimator of
+    the point estimates (:func:`_jansen_estimates`); only its sums and
+    variance are vectorized reductions over the resampled rows, so the
     streaming bit-for-bit guarantee covers the point estimates, not the
-    resampled quantile bounds.)
+    resampled quantile bounds.
 
     Each replicate's rows come from one ``rng.integers`` draw, in
-    replicate order.  The replicates are evaluated in slices: one
-    gather of the slice's rows into a stacked design and one vectorized
-    estimate over the slice.  The slice size follows from a fixed byte
-    budget for the gathered designs (``_BOOTSTRAP_SLICE_BYTES``), down
-    to one replicate per slice when a single design exceeds it, so
-    slicing changes neither the rows nor the peak memory of large
-    trace QoIs.  A replicate whose resample has zero variance in every
+    replicate order.  The replicates are evaluated in slices: the
+    slice's resampled ``A`` and ``B`` blocks and one swap block at a
+    time are gathered, and one vectorized estimate covers the slice.
+    The slice size follows from a fixed byte budget for the resampled
+    designs (``_BOOTSTRAP_SLICE_BYTES``), down to one replicate per
+    slice when a single design exceeds it, so slicing changes neither
+    the rows nor the peak memory of large trace QoIs.  A replicate whose resample has zero variance in every
     component is dropped, and ``num_replicates`` of the result counts
     the replicates kept.
 
@@ -949,131 +1002,12 @@ def jansen_bootstrap(f_a, f_b, f_ab, num_replicates=100, seed=0,
     sweep; zero-variance output components propagate ``NaN`` bounds
     instead of raising or warning.
     """
-    f_a, f_b, f_ab = _validated_blocks(f_a, f_b, f_ab, "f_ab")
-    num_replicates = int(num_replicates)
-    if num_replicates < 1:
-        raise SamplingError(
-            f"num_replicates must be >= 1, got {num_replicates}"
-        )
-    if not 0.0 < confidence < 1.0:
-        raise SamplingError(
-            f"confidence must be in (0, 1), got {confidence!r}"
-        )
-    if pairs is not None and f_ab_pairs is None:
-        raise SamplingError(
-            "pairs= needs the matching f_ab_pairs evaluation blocks"
-        )
-    if groups is not None and f_ab_groups is None:
-        raise SamplingError(
-            "groups= needs the matching f_ab_groups evaluation blocks"
-        )
-    dimension = f_ab.shape[0]
-    if f_ab_pairs is not None:
-        f_a, f_b, f_ab_pairs = _validated_blocks(
-            f_a, f_b, f_ab_pairs, "f_ab_pairs"
-        )
-        if pairs is None:
-            pairs = all_pairs(dimension)
-        pairs = normalize_pairs(pairs, dimension)
-        if len(pairs) != f_ab_pairs.shape[0]:
-            raise SamplingError(
-                f"{f_ab_pairs.shape[0]} pair blocks do not match "
-                f"{len(pairs)} pairs"
-            )
-    if f_ab_groups is not None:
-        if groups is None:
-            raise SamplingError(
-                "f_ab_groups needs the matching groups= column subsets"
-            )
-        f_a, f_b, f_ab_groups = _validated_blocks(
-            f_a, f_b, f_ab_groups, "f_ab_groups"
-        )
-        groups = normalize_groups(groups, dimension)
-        if len(groups) != f_ab_groups.shape[0]:
-            raise SamplingError(
-                f"{f_ab_groups.shape[0]} group blocks do not match "
-                f"{len(groups)} groups"
-            )
-
-    num_base_samples = f_a.shape[0]
-    rng = np.random.default_rng(
-        np.random.SeedSequence(
-            entropy=int(seed), spawn_key=(_BOOTSTRAP_SPAWN_KEY,)
-        )
+    accumulator, blocks = _in_memory_design(
+        f_a, f_b, f_ab, f_ab_pairs=f_ab_pairs, pairs=pairs,
+        f_ab_groups=f_ab_groups, groups=groups,
     )
-    output_shape = f_a.shape[1:]
-    blocks_per_row = 2 + sum(
-        blocks.shape[0] for blocks in (f_ab, f_ab_pairs, f_ab_groups)
-        if blocks is not None
-    )
-    slice_size = max(
-        1, _BOOTSTRAP_SLICE_BYTES // (f_a.nbytes * blocks_per_row)
-    )
-
-    def gather(blocks, rows):
-        # (blocks, M, ...) evaluations -> (R, M, blocks, C) resamples.
-        if blocks is None:
-            return None
-        blocks = blocks.reshape(blocks.shape[0], num_base_samples, -1)
-        return blocks.swapaxes(0, 1)[rows]
-
-    collected = {}
-    for offset in range(0, num_replicates, slice_size):
-        # One draw per replicate, in replicate order: the rows do not
-        # depend on the slicing.
-        rows = np.stack([
-            rng.integers(0, num_base_samples, size=num_base_samples)
-            for _ in range(min(slice_size, num_replicates - offset))
-        ])
-        estimates = _replicate_estimates(
-            gather(f_a[np.newaxis], rows), gather(f_b[np.newaxis], rows),
-            gather(f_ab, rows), gather(f_ab_pairs, rows), pairs,
-            gather(f_ab_groups, rows), groups,
-        )
-        # A degenerate resample (zero variance) is skipped; the
-        # replicate count below reflects it.
-        kept = estimates.pop("kept")
-        if not kept.all():
-            estimates = {key: values[kept] for key, values in estimates.items()}
-        for key, values in estimates.items():
-            collected.setdefault(key, []).append(values)
-
-    def stacked(key):
-        # One estimate family at a time, releasing its slices.
-        return np.concatenate(collected.pop(key)) if key in collected else None
-
-    firsts = stacked("first")
-    if not len(firsts):
-        raise SamplingError(
-            "every bootstrap replicate had zero output variance"
-        )
-    alpha = 0.5 * (1.0 - confidence)
-
-    def bounds(values):
-        if values is None:
-            return None, None
-        shape = values.shape[1:2] + output_shape
-        return (np.quantile(values, alpha, axis=0).reshape(shape),
-                np.quantile(values, 1.0 - alpha, axis=0).reshape(shape))
-
-    first_lower, first_upper = bounds(firsts)
-    total_lower, total_upper = bounds(stacked("total"))
-    closed_lower, closed_upper = bounds(stacked("pair_closed"))
-    interaction_lower, interaction_upper = bounds(stacked("interaction"))
-    group_closed_lower, group_closed_upper = bounds(stacked("group_closed"))
-    group_total_lower, group_total_upper = bounds(stacked("group_total"))
-    return BootstrapInterval(
-        first_lower, first_upper, total_lower, total_upper,
-        len(firsts), confidence,
-        closed_second_order_lower=closed_lower,
-        closed_second_order_upper=closed_upper,
-        second_order_lower=interaction_lower,
-        second_order_upper=interaction_upper,
-        group_closed_lower=group_closed_lower,
-        group_closed_upper=group_closed_upper,
-        group_total_lower=group_total_lower,
-        group_total_upper=group_total_upper,
-    )
+    return accumulator.bootstrap(blocks, num_replicates=num_replicates,
+                                 seed=seed, confidence=confidence)
 
 
 def sobol_indices(model, distributions, dimension, num_base_samples=256,
@@ -1130,11 +1064,9 @@ def sobol_indices(model, distributions, dimension, num_base_samples=256,
         f_ab_pairs[position] = evaluate(
             map_to_distributions(hybrid, distributions)
         )
-    accumulator = StreamingJansenAccumulator(
-        num_base_samples, dimension, pairs=pairs
+    estimates = _reduce_in_memory(
+        None, f_a, f_b, f_ab, f_ab_pairs=f_ab_pairs, pairs=pairs
     )
-    _feed_blocks(accumulator, f_a, f_b, f_ab, f_ab_pairs)
-    estimates = accumulator.finalize()
     indices = estimates.first_order
     indices.second_order = estimates.second_order
     return indices

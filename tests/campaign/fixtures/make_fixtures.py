@@ -4,7 +4,13 @@ The JSON spec files mirror the exact serialization of the PR-1/PR-2 era
 (no ``reducer`` field, no store provenance); the ``pr3_store`` directory
 is a partially evaluated PR-3 era second-order sensitivity campaign
 (manifest + 3 of 5 chunk files, no reducer state, no summary) over the
-registered toy problem.  Run from the repository root::
+registered toy problem.  ``streaming_store`` is not written by this
+script: it comes from the last version whose jansen reducer took a
+``streaming`` option (a scalar toy Sobol campaign, ``M = 8``, chunk size
+6, seed 9, reducer ``{"kind": "jansen", "num_bootstrap": 0,
+"streaming": true}``, stopped after 6 of 8 chunks with its reducer
+snapshot at 5 folded chunks), and the current code cannot reproduce its
+checkpoint format.  Run from the repository root::
 
     PYTHONPATH=src python tests/campaign/fixtures/make_fixtures.py
 

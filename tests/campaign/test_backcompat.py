@@ -7,7 +7,6 @@ reducer state.  They must load, resume, and report unchanged -- and
 round-trip byte-identically, so new fields never leak into old formats.
 """
 
-import json
 import os
 import shutil
 
@@ -172,8 +171,8 @@ class TestLegacyChunkTelemetryLayout:
         store = ArtifactStore(tmp_path / "legacy")
         calls = []
 
-        def kill_after_three(done, total):
-            calls.append(done)
+        def kill_after_three(event):
+            calls.append(event["done"])
             if len(calls) == 3:
                 raise Abort()
 
@@ -197,3 +196,40 @@ class TestLegacyChunkTelemetryLayout:
         merged = MetricsRegistry.from_dict(store.read_telemetry_metrics())
         assert merged.histogram_stats("chunk.wall_s")["count"] == \
             spec.num_chunks
+
+
+class TestStreamingOptionStore:
+    """A partial store written while the jansen reducer still took a
+    ``streaming`` option: its manifest pins ``{"kind": "jansen",
+    "num_bootstrap": 0, "streaming": true}`` and its reducer snapshot
+    (5 of 8 chunks folded, scalar QoI, state arrays without a component
+    axis) comes from that version."""
+
+    def test_resume_restores_snapshot_and_matches_fresh_run(
+            self, tmp_path, monkeypatch):
+        target = tmp_path / "streaming_store"
+        shutil.copytree(_fixture("streaming_store"), target)
+        store = ArtifactStore(str(target))
+        spec = store.load_spec()
+        assert spec.reducer["streaming"] is True
+        meta, _ = store.read_reducer_state()
+        assert meta["reducer"]["streaming"] is True
+
+        reads = []
+        original = ArtifactStore.read_chunk
+
+        def counting_read(self, chunk_index):
+            reads.append(chunk_index)
+            return original(self, chunk_index)
+
+        monkeypatch.setattr(ArtifactStore, "read_chunk", counting_read)
+        resumed = resume_campaign(store)
+        monkeypatch.undo()
+        # The snapshot continued the reduction: of the six chunks on
+        # disk only the one after it was read.
+        assert reads == [meta["next_chunk"]]
+        assert resumed.streamed
+
+        fresh = ArtifactStore(str(tmp_path / "fresh"))
+        run_campaign(spec, store=fresh)
+        assert store.read_summary() == fresh.read_summary()

@@ -117,8 +117,8 @@ class TestRunCampaign:
 
     def test_progress_callback(self, toy_spec):
         seen = []
-        run_campaign(toy_spec, progress=lambda done, total:
-                     seen.append((done, total)))
+        run_campaign(toy_spec, progress=lambda event:
+                     seen.append((event["done"], event["total"])))
         assert seen[-1] == (toy_spec.num_chunks, toy_spec.num_chunks)
         assert len(seen) == toy_spec.num_chunks
 

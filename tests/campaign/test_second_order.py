@@ -192,12 +192,14 @@ class TestSpecRoundTrip:
 
 class TestStreamingCampaignEquivalence:
     def test_streaming_matches_in_memory_bitwise(self):
+        """Streaming (no bootstrap) and keeping the rows for a bootstrap
+        give bit-identical point estimates."""
         spec = make_extended_spec()
         in_memory = run_campaign(spec, reducer=JansenReducer(
-            spec, num_bootstrap=0, streaming=False
+            spec, num_bootstrap=5
         ))
         streamed = run_campaign(spec, reducer=JansenReducer(
-            spec, num_bootstrap=0, streaming=True
+            spec, num_bootstrap=0
         ))
         assert streamed.streamed and not in_memory.streamed
         _assert_results_equal(streamed, in_memory)
@@ -246,7 +248,7 @@ class TestStreamingCampaignEquivalence:
             for chunk in campaign_chunks(spec, range(completed)):
                 store.write_chunk(evaluate_chunk(model, chunk))
             resumed = resume_campaign(store, reducer={
-                "kind": "jansen", "num_bootstrap": 0, "streaming": True,
+                "kind": "jansen", "num_bootstrap": 0,
             })
             expected_remaining = spec.num_samples - min(
                 completed * spec.chunk_size, spec.num_samples
@@ -279,11 +281,22 @@ class TestStreamingCampaignEquivalence:
                               equal_nan=True)
 
     def test_streaming_with_bootstrap_rejected(self):
+        """A persisted reducer dict with the old ``streaming`` entry
+        loads with the entry dropped, and still refuses a bootstrap."""
         spec = make_extended_spec()
         with pytest.raises(CampaignError, match="streaming"):
-            run_campaign(spec, reducer=JansenReducer(
-                spec, num_bootstrap=10, streaming=True
-            ))
+            run_campaign(spec, reducer={
+                "kind": "jansen", "num_bootstrap": 10, "streaming": True,
+            })
+        for streaming in (True, False):
+            result = run_campaign(spec, reducer={
+                "kind": "jansen", "num_bootstrap": 0,
+                "streaming": streaming,
+            })
+            assert result.streamed
+        # The class itself takes no streaming option.
+        with pytest.raises(TypeError):
+            JansenReducer(spec, streaming=True)
 
     def test_default_streams_only_without_bootstrap(self):
         spec = make_extended_spec()
@@ -381,28 +394,34 @@ class TestSecondOrderCli:
         assert "invalid factor group" in capsys.readouterr().err
 
     def test_sobol_run_streaming_flag(self, tmp_path, capsys):
+        """``--bootstrap 0`` streams: no CI columns, and the running
+        sums are checkpointed."""
         from repro.campaign.cli import main
 
         spec = make_extended_spec()
         path = str(spec.save(tmp_path / "sens.json"))
         store = str(tmp_path / "store")
         assert main(["run", path, "--store", store,
-                     "--streaming", "--quiet"]) == 0
+                     "--bootstrap", "0", "--quiet"]) == 0
         output = capsys.readouterr().out
         assert "Pair interactions" in output
         assert "Factor groups" in output
-        # --streaming implied --bootstrap 0: no CI columns.
         assert "CI" not in output
+        assert ArtifactStore(store).read_reducer_state() is not None
         assert main(["report", store]) == 0
         assert capsys.readouterr().out == output
 
     def test_sobol_run_streaming_with_bootstrap_rejected(
             self, tmp_path, capsys):
+        """A spec pinning the old ``streaming`` reducer entry still
+        refuses a bootstrap."""
         from repro.campaign.cli import main
 
-        path = str(make_extended_spec().save(tmp_path / "sens.json"))
-        assert main(["run", path, "--streaming",
-                     "--bootstrap", "10", "--quiet"]) == 1
+        spec = make_extended_spec()
+        spec.reducer = {"kind": "jansen", "num_bootstrap": 0,
+                        "streaming": True}
+        path = str(spec.save(tmp_path / "sens.json"))
+        assert main(["run", path, "--bootstrap", "10", "--quiet"]) == 1
         assert "streaming" in capsys.readouterr().err
 
     def test_sobol_resume_streaming(self, tmp_path, capsys):
@@ -413,10 +432,19 @@ class TestSecondOrderCli:
         model = resolve_model(spec.scenario)
         for chunk in campaign_chunks(spec, [0, 2]):
             store.write_chunk(evaluate_chunk(model, chunk))
-        assert main(["resume", store.path, "--streaming",
+        assert main(["resume", store.path, "--bootstrap", "0",
                      "--quiet"]) == 0
         assert store.completed_chunks() == list(range(spec.num_chunks))
+        assert store.read_reducer_state() is not None
         assert "Pair interactions" in capsys.readouterr().out
+
+    def test_streaming_flag_removed(self, tmp_path, capsys):
+        from repro.campaign.cli import main
+
+        path = str(make_extended_spec().save(tmp_path / "sens.json"))
+        with pytest.raises(SystemExit):
+            main(["run", path, "--streaming", "--quiet"])
+        assert "--streaming" in capsys.readouterr().err
 
 
 def _assert_results_equal(result, reference):

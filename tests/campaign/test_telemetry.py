@@ -174,32 +174,19 @@ class TestKillResume:
 
 
 class TestProgressStyles:
-    def test_legacy_two_argument_callback(self, toy_spec):
-        seen = []
-        run_campaign(toy_spec, telemetry=False,
-                     progress=lambda done, total: seen.append((done,
-                                                               total)))
-        assert seen == [(i + 1, toy_spec.num_chunks)
-                        for i in range(toy_spec.num_chunks)]
-
     def test_event_style_callback_gets_heartbeats(self, toy_spec):
         events = []
         run_campaign(toy_spec, telemetry=False,
                      progress=lambda event: events.append(event))
         assert len(events) == toy_spec.num_chunks
         validate_events(events)
+        assert [event["done"] for event in events] == \
+            list(range(1, toy_spec.num_chunks + 1))
         last = events[-1]
         assert last["event"] == "heartbeat"
         assert last["done"] == last["total"] == toy_spec.num_chunks
         assert last["rate_per_s"] > 0.0
         assert all(e["eta_s"] is not None for e in events[:-1])
-
-    def test_callable_object_without_signature_defaults_legacy(self,
-                                                               toy_spec):
-        calls = []
-        run_campaign(toy_spec, telemetry=False,
-                     progress=lambda *args: calls.append(args))
-        assert all(len(call) == 2 for call in calls)
 
     def test_progress_fires_regardless_of_telemetry(self, toy_spec):
         seen = []

@@ -16,6 +16,7 @@ from repro.coupled.electrothermal import (
     BlockedTransientResult,
     CoupledSolver,
 )
+from repro import telemetry
 from repro.errors import SolverError
 from repro.solvers.time_integration import TimeGrid
 
@@ -167,13 +168,13 @@ class TestDiagnostics:
         solver = _solver()
         blocked = BlockedCoupledSolver(solver)
         blocked.set_wire_lengths_block(_length_block())
-        before = solver.metrics.as_dict()["counters"].get("coupled_steps", 0)
-        blocked.solve_transient_block(TimeGrid(1.0, 2))
-        counters = solver.metrics.as_dict()["counters"]
+        with telemetry.capture() as collector:
+            blocked.solve_transient_block(TimeGrid(1.0, 2))
+        counters = collector.registry
         # Two time steps x three samples count as per-sample step work...
-        assert counters.get("coupled_steps", 0) - before == 6
+        assert counters.counter_value("solver.coupled_steps") == 6
         # ... folded into two blocked step invocations.
-        assert counters.get("blocked_steps", 0) == 2
+        assert counters.counter_value("solver.blocked_steps") == 2
 
     def test_nonconvergence_reports_blocked_samples(self):
         solver = _solver(max_iterations=1, tolerance=1.0e-14)

@@ -8,6 +8,7 @@ from repro.coupled.electrothermal import (
     BlockedCoupledSolver,
     CoupledSolver,
 )
+from repro import telemetry
 from repro.errors import ConvergenceError, SolverError
 from repro.solvers.time_integration import TimeGrid
 
@@ -260,110 +261,57 @@ class TestStoreFields:
 class TestPerDtSolverReuse:
     """The single-slot memo regression: one solver alternating between
     two grids (e.g. the levels of a two-level time estimator) must
-    build O(#distinct dt) thermal solvers, not O(#solves)."""
+    build O(#distinct dt) thermal solvers, not O(#solves).  Counted by
+    the ambient telemetry counters of a capture."""
 
     def test_builds_scale_with_distinct_dts_not_solves(self):
         problem = build_wire_bridge_problem()
         solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
-        # 5 alternation rounds over two step sizes.
-        for _ in range(5):
-            _one_step(solver, 0.5)
-            _one_step(solver, 0.25)
-        assert solver.num_steps == 10
-        assert solver.thermal_solver_builds == 2
+        with telemetry.capture() as collector:
+            # 5 alternation rounds over two step sizes.
+            for _ in range(5):
+                _one_step(solver, 0.5)
+                _one_step(solver, 0.25)
+        counters = collector.registry
+        assert counters.counter_value("solver.coupled_steps") == 10
+        assert counters.counter_value("solver.thermal_builds") == 2
 
     def test_lru_bound_evicts_oldest(self):
         problem = build_wire_bridge_problem()
         solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
         steps = [1.0 / 2**k for k in range(_MAX_THERMAL_SOLVERS + 1)]
-        for dt in steps:
-            _one_step(solver, dt)
-        assert len(solver._fast_th_solvers) == _MAX_THERMAL_SOLVERS
-        assert solver.thermal_solver_builds == len(steps)
-        # Re-solving the evicted dt rebuilds (bounded memory, correct
-        # result), the cached ones do not.
-        _one_step(solver, steps[-1])
-        assert solver.thermal_solver_builds == len(steps)
-        _one_step(solver, steps[0])
-        assert solver.thermal_solver_builds == len(steps) + 1
+        with telemetry.capture() as collector:
+            def builds():
+                return collector.registry.counter_value(
+                    "solver.thermal_builds"
+                )
+
+            for dt in steps:
+                _one_step(solver, dt)
+            assert len(solver._fast_th_solvers) == _MAX_THERMAL_SOLVERS
+            assert builds() == len(steps)
+            # Re-solving the evicted dt rebuilds (bounded memory,
+            # correct result), the cached ones do not.
+            _one_step(solver, steps[-1])
+            assert builds() == len(steps)
+            _one_step(solver, steps[0])
+            assert builds() == len(steps) + 1
 
     def test_statistics_report_cache_counters(self):
         from repro.solvers.cache import FactorizationCache
 
         cache = FactorizationCache()
         problem = build_wire_bridge_problem()
-        solver = CoupledSolver(problem, mode="fast", tolerance=1e-4,
-                               factorization_cache=cache)
-        _one_step(solver, 0.5)
-        stats = solver.solver_statistics()
-        assert stats["mode"] == "fast"
-        assert stats["coupled_steps"] == 1
-        assert stats["thermal_solver_builds"] == 1
-        assert stats["thermal_solvers_cached"] == 1
+        with telemetry.capture() as collector:
+            solver = CoupledSolver(problem, mode="fast", tolerance=1e-4,
+                                   factorization_cache=cache)
+            _one_step(solver, 0.5)
+        counters = collector.registry
+        assert counters.counter_value("solver.coupled_steps") == 1
+        assert counters.counter_value("solver.thermal_builds") == 1
+        assert len(solver._fast_th_solvers) == 1
         # el base (setup) + one thermal base missed the shared cache.
-        assert stats["factorization_cache_misses"] == 2
-        assert stats["factorization_cache_hits"] == 0
-
-
-class TestStatisticsWindow:
-    """solver_statistics() reports per-window deltas (default: since
-    construction or the last begin_statistics_window), with
-    ``lifetime=True`` as the escape hatch back to raw totals."""
-
-    def test_counters_reset_with_a_new_window(self):
-        problem = build_wire_bridge_problem()
-        solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
-        solver.solve_transient(TimeGrid(1.0, 2))
-        assert solver.solver_statistics()["coupled_steps"] == 2
-
-        solver.begin_statistics_window()
-        fresh = solver.solver_statistics()
-        assert fresh["coupled_steps"] == 0
-        assert fresh["thermal_solver_builds"] == 0
-
-        _one_step(solver, 0.5)
-        window = solver.solver_statistics()
-        assert window["coupled_steps"] == 1
-        # dt=0.5 was already cached before the window opened.
-        assert window["thermal_solver_builds"] == 0
-        assert window["mode"] == "fast"
-        assert window["thermal_solvers_cached"] == 1
-
-    def test_lifetime_escape_hatch(self):
-        problem = build_wire_bridge_problem()
-        solver = CoupledSolver(problem, mode="fast", tolerance=1e-4)
-        _one_step(solver, 0.5)
-        solver.begin_statistics_window()
-        _one_step(solver, 0.5)
-        assert solver.solver_statistics()["coupled_steps"] == 1
-        lifetime = solver.solver_statistics(lifetime=True)
-        assert lifetime["coupled_steps"] == 2
-        assert lifetime["thermal_solver_builds"] == 1
-
-    def test_window_excludes_other_solvers_cache_traffic(self):
-        """Two solvers sharing one FactorizationCache: each solver's
-        window starts at its own construction, so the first solver's
-        hits/misses never leak into the second's per-run delta."""
-        from repro.solvers.cache import FactorizationCache
-
-        cache = FactorizationCache()
-        problem = build_wire_bridge_problem()
-        first = CoupledSolver(problem, mode="fast", tolerance=1e-4,
-                              factorization_cache=cache)
-        _one_step(first, 0.5)
-        first_stats = first.solver_statistics()
-        assert first_stats["factorization_cache_misses"] == 2
-        assert first_stats["factorization_cache_hits"] == 0
-
-        second = CoupledSolver(problem, mode="fast", tolerance=1e-4,
-                               factorization_cache=cache)
-        _one_step(second, 0.5)
-        second_stats = second.solver_statistics()
-        assert second_stats["coupled_steps"] == 1
-        # The second solver's setup reuses the first's factorizations:
-        # all hits inside its own window, zero inherited misses.
-        assert second_stats["factorization_cache_misses"] == 0
-        assert second_stats["factorization_cache_hits"] >= 1
-        # Lifetime view still shows the shared cache's full history.
-        lifetime = second.solver_statistics(lifetime=True)
-        assert lifetime["factorization_cache_misses"] == 2
+        assert cache.misses == 2
+        assert cache.hits == 0
+        assert counters.counter_value("cache.misses") == 2
+        assert counters.counter_value("cache.hits") == 0

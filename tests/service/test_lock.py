@@ -136,7 +136,7 @@ class TestRunnerLocking:
         class Stop(RuntimeError):
             pass
 
-        def progress(done, total):
+        def progress(event):
             raise Stop()
 
         with pytest.raises(Stop):

@@ -108,7 +108,7 @@ class TestRestartRecovery:
 
         seen = [0]
 
-        def killer(done, total):
+        def killer(event):
             seen[0] += 1
             if seen[0] >= 3:
                 raise Kill()

@@ -10,10 +10,16 @@ acknowledged, as their client would -- and finish each with the state
 and summary of an uninterrupted run.  ``mark_store`` writes nothing, so
 a job killed before its next transition finds its store through the
 namespace convention.
+
+A real process killed right after its first ``queue.json`` ``mkstemp``
+leaves a temp file named after its pid; the next service over the root
+removes it, and never the temp files of a live writer.
 """
 
 import contextlib
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -163,3 +169,48 @@ def test_kill_at_any_queue_write_then_restart_finishes_every_job(
 
         assert outcomes(manager) == expected
         assert not manager.jobs(states=("queued", "running"))
+
+
+#: A service process that submits one job and dies (``os._exit``, no
+#: cleanup) right after the first ``mkstemp`` in the service root.
+_DYING_SUBMIT = """
+import os, sys, tempfile
+from repro.service import JobManager
+from tests.campaign.conftest import make_toy_spec
+
+root = os.path.abspath(sys.argv[1])
+mkstemp = tempfile.mkstemp
+
+def dying_mkstemp(*args, **kwargs):
+    made = mkstemp(*args, **kwargs)
+    if os.path.abspath(kwargs.get("dir", "")) == root:
+        os._exit(0)
+    return made
+
+tempfile.mkstemp = dying_mkstemp
+JobManager(root).submit(make_toy_spec(num_samples=4, chunk_size=2))
+"""
+
+
+def test_killed_writer_temp_file_is_swept(tmp_path):
+    repository = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    environment = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(repository, "src"), repository]))
+    subprocess.run([sys.executable, "-c", _DYING_SUBMIT, str(tmp_path)],
+                   cwd=repository, env=environment, check=True,
+                   timeout=120)
+    leaked = [name for name in os.listdir(tmp_path)
+              if name.endswith(".tmp")]
+    assert len(leaked) == 1 and leaked[0].startswith("queue.")
+    assert not os.path.exists(tmp_path / "queue.json")
+    # A live writer's temp file (this process's pid) must survive.
+    live = tmp_path / f"queue.{os.getpid()}.inflight.tmp"
+    live.write_text("{}")
+
+    manager = JobManager(tmp_path)
+    manager.start()
+    manager.stop(wait=True)
+    remaining = sorted(name for name in os.listdir(tmp_path)
+                       if name.endswith(".tmp"))
+    assert remaining == [live.name]

@@ -20,7 +20,7 @@ def run_partially(spec, store_path, stop_after=3):
     """Run a campaign but kill it (by exception) after N chunks."""
     seen = [0]
 
-    def progress(done, total):
+    def progress(event):
         seen[0] += 1
         if seen[0] >= stop_after:
             raise Abort()
