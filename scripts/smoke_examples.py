@@ -5,7 +5,10 @@ redesign that forgets one of them should fail CI, not a user.  This
 driver discovers every ``examples/*.py``, runs each in a subprocess with
 sample counts shrunk via argv/env (see ``_OVERRIDES``), and fails on the
 first nonzero exit.  New examples are picked up automatically (with no
-overrides, so keep their defaults cheap or add an entry here).
+overrides, so keep their defaults cheap or add an entry here).  Each
+example runs with ``TMPDIR`` set to its own scratch directory, removed
+afterwards, so the campaign stores the examples create with
+``tempfile.mkdtemp`` do not pile up in the system temp directory.
 
 After the examples pass, the driver runs a telemetry smoke: a tiny CLI
 campaign into a temporary store, then ``repro-campaign trace --validate``
@@ -24,7 +27,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import zipfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES_DIR = os.path.join(REPO_ROOT, "examples")
@@ -57,10 +59,12 @@ def run_example(path):
     )
     command = [sys.executable, path, *override.get("argv", [])]
     start = time.perf_counter()
-    completed = subprocess.run(
-        command, cwd=REPO_ROOT, env=env, timeout=TIMEOUT_SECONDS,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
+    with tempfile.TemporaryDirectory(prefix="smoke-example-") as scratch:
+        env["TMPDIR"] = scratch
+        completed = subprocess.run(
+            command, cwd=REPO_ROOT, env=env, timeout=TIMEOUT_SECONDS,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
     elapsed = time.perf_counter() - start
     return completed, elapsed
 
@@ -109,17 +113,18 @@ def smoke_telemetry():
                 print(completed.stdout[-4000:])
                 return False
             print(f"ok ({elapsed:.1f}s)")
-        # Each chunk file carries its events as the ``telemetry`` member
-        # (DESIGN.md "Store layout and kill/resume contract").
-        chunk_dir = os.path.join(store, "chunks")
-        chunk_logs = sorted(
-            name for name in os.listdir(chunk_dir)
-            if name.endswith(".npz") and "telemetry.npy" in
-            zipfile.ZipFile(os.path.join(chunk_dir, name)).namelist()
-        )
+        # Each chunk's record in chunks.log carries its events as the
+        # ``telemetry`` member (DESIGN.md "Store layout and kill/resume
+        # contract").
+        sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+        from repro.campaign import ArtifactStore
+
+        artifacts = ArtifactStore(store)
+        chunk_logs = [index for index in artifacts.telemetry_chunks()
+                      if artifacts.read_chunk_telemetry(index)]
         if len(chunk_logs) != 2:
-            print(f"telemetry smoke: expected 2 chunk files with a "
-                  f"telemetry member in {chunk_dir}, found {chunk_logs}")
+            print(f"telemetry smoke: expected 2 chunk records with a "
+                  f"telemetry member in {store}, found {chunk_logs}")
             return False
     return True
 

@@ -24,8 +24,9 @@ study loop into a distributable, checkpointed, resumable campaign:
   their retries are quarantined as :class:`ChunkFailure` records, so
   one poisoned sample cannot wedge a million-sample campaign;
 * :mod:`~repro.campaign.store` -- the resumable :class:`ArtifactStore`
-  (``manifest.json`` + atomic per-chunk ``.npz`` checkpoints + the
-  reduction-state snapshot);
+  (``manifest.json`` + the append-only, checksummed ``chunks.log``
+  with one record per completed chunk + the reduction-state
+  snapshot);
 * :mod:`~repro.campaign.runner` -- deterministic per-sample seeding,
   chunked execution, ordered reducer folding, :func:`run_campaign` /
   :func:`resume_campaign` (one path for every campaign kind);

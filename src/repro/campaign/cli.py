@@ -260,7 +260,7 @@ def _build_parser():
     trace.add_argument(
         "--dump", action="store_true",
         help="print every recorded event as JSONL (run log first, then "
-             "chunk files in chunk order)",
+             "chunk records in chunk order)",
     )
     trace.add_argument(
         "--validate", action="store_true",

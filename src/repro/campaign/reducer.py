@@ -11,7 +11,7 @@ fold over checkpointed chunks with serializable state:
   executors, chunk sizes and kill/resume histories);
 * :meth:`Reducer.state_dict` / :meth:`Reducer.load_state_dict` give the
   runner an exact float64 snapshot to checkpoint in the
-  :class:`~repro.campaign.store.ArtifactStore` beside the chunk files,
+  :class:`~repro.campaign.store.ArtifactStore` beside the chunk log,
   so a resume restores the *reduction*, not just the samples;
 * :meth:`Reducer.finalize` turns the folded state into the
   campaign-kind-specific result object.
@@ -387,7 +387,7 @@ class PCEReducer(Reducer):
     chunks.
 
     The state is exactly the assembled output matrix, i.e. a copy of
-    the chunk files, so the runner does not checkpoint it
+    the chunk log, so the runner does not checkpoint it
     (``checkpointable = False``): a resume re-folds from the chunks at
     the same cost.
     """

@@ -235,14 +235,14 @@ STATUS_HEARTBEAT_S = 1.0
 class _StatusFiles:
     """Heartbeat-paced writer of ``progress.json`` and ``run.jsonl``.
 
-    The chunk files are a run's durable record; the progress snapshot
+    The chunk log is a run's durable record; the progress snapshot
     and the run log are status views of it.  Both are written when the
     run starts (:meth:`flush`), then by :meth:`beat` at most once per
     :data:`STATUS_HEARTBEAT_S` while chunks complete, and by
     :meth:`flush` again at the end of the run and before a campaign
     error propagates.  A kill therefore loses at most one heartbeat of
     run-log events -- never a chunk's telemetry, which lives in its
-    chunk file.  Without a store every method is a no-op.
+    chunk-log record.  Without a store every method is a no-op.
     """
 
     def __init__(self, store):
@@ -377,8 +377,9 @@ def run_campaign(spec, store=None, executor=None, progress=None,
         this run; ``None`` (default) follows the global flag
         (:func:`repro.telemetry.enabled`, env ``REPRO_TELEMETRY``).
         With a store, captured telemetry is persisted: each chunk's
-        events inside its ``.npz`` (the ``telemetry`` member, written in
-        the same atomic file as the outputs), plus an append-only
+        events inside its ``chunks.log`` record (the ``telemetry``
+        member, written in the same append as the outputs), plus an
+        append-only
         ``telemetry/run.jsonl`` and the merged
         ``telemetry/metrics.json``.
     retry:
@@ -405,7 +406,7 @@ def run_campaign(spec, store=None, executor=None, progress=None,
     ``telemetry/progress.json`` and ``telemetry/run.jsonl`` are written
     at run start and end and at most once per
     :data:`STATUS_HEARTBEAT_S` in between, so a chunk costs one file
-    write: its chunk file.
+    write: the append of its record to ``chunks.log``.
     """
     if not isinstance(spec, CampaignSpec):
         raise CampaignError(
@@ -444,8 +445,9 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
         store.initialize(
             spec, provenance=_provenance_record(reducer, executor)
         )
-        # validate=True: a chunk file torn by a crash (full disk, killed
-        # copy) counts as incomplete and is recomputed, not fatal.
+        # ``initialize`` truncated a torn or corrupt log tail; with
+        # validate=True a torn legacy chunk file counts as incomplete
+        # too, and is recomputed, not fatal.
         completed = set(store.completed_chunks(validate=True))
         stored_quarantine = store.read_quarantine()
     else:
@@ -465,7 +467,7 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
         stale = [index for index in stored_quarantine if index in completed]
         if stale:
             # A chunk cannot be both complete and quarantined; the
-            # chunk file wins (a prior resume healed it mid-kill).
+            # chunk record wins (a prior resume healed it mid-kill).
             store.discard_quarantined(stale)
             for index in stale:
                 stored_quarantine.pop(index)
@@ -514,7 +516,7 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
 
     # Snapshot cadence: every chunk for short campaigns, else ~32 evenly
     # spaced snapshots plus the final one -- a resume re-folds at most
-    # one interval from the chunk files (bit-identical by construction),
+    # one interval from the chunk log (bit-identical by construction),
     # and checkpoint I/O stays linear instead of quadratic in the
     # campaign size.
     checkpoint_interval = max(1, total // 32)
@@ -663,7 +665,7 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
             if record is not None:
                 telemetry_records[result.chunk_index] = record
             if store is not None:
-                # One atomic file holds the outputs and the telemetry.
+                # One log record holds the outputs and the telemetry.
                 # It is written before the fold, so a reducer snapshot
                 # never counts a chunk that is not on disk.
                 store.write_chunk(
@@ -680,7 +682,7 @@ def _run_campaign_locked(spec, store, executor, progress, reducer,
                 memory_chunks[result.chunk_index] = result
             if result.chunk_index in stored_quarantine:
                 # Healed on retry: drop the quarantine record (the
-                # chunk file is already on disk, so a kill between the
+                # chunk record is already on disk, so a kill between the
                 # two writes is repaired by the stale-record cleanup on
                 # the next resume).
                 stored_quarantine.pop(result.chunk_index, None)

@@ -166,7 +166,7 @@ class CampaignSpec:
         bit-reproducible.
     chunk_size:
         Samples per executor task == checkpoint granularity (the store
-        persists one ``.npz`` per completed chunk).
+        appends one ``chunks.log`` record per completed chunk).
     sampler:
         ``"counter"`` (default) or a full-stream kind
         (``"random"``, ``"lhs"``, ``"halton"``, ``"sobol"``); full

@@ -7,10 +7,9 @@ Layout of a store directory::
                                # (+ optional reducer/backend provenance)
         lock.json              # owner record while a runner holds the
                                # store (absent on idle stores)
-        chunks/
-            chunk_000000.npz   # indices, parameters, outputs of chunk 0
-            chunk_000001.npz   # (+ its telemetry events, when captured)
-            ...
+        chunks.log             # append-only: one record per completed
+                               # chunk (indices, parameters, outputs
+                               # + its telemetry events, when captured)
         reducer_state.npz      # checkpointed reduction state (optional)
         quarantine.json        # chunks that exhausted their retries
                                # (absent on failure-free campaigns)
@@ -20,33 +19,35 @@ Layout of a store directory::
             metrics.json       # merged campaign MetricsRegistry
             progress.json      # latest heartbeat (atomically replaced)
 
-Chunk files are written atomically (temp file + ``os.replace``), so a
-killed process can never leave a half-written chunk behind: on resume a
-chunk either exists completely or is recomputed.  A kill *between*
-``mkstemp`` and ``os.replace`` can still leak the anonymous ``.tmp``
-file, so ``initialize()`` sweeps stale temporaries from the store root,
-``chunks/`` and ``telemetry/`` every time it runs (fresh create and
-resume alike).  ``quarantine.json`` records chunks that exhausted their
-retry budget -- one JSON entry per chunk with the sample indices, the
-error and the attempt count -- updated with the same atomic-replace
-discipline so concurrent readers never see a torn file.  The manifest pins the
-spec; resuming with a different spec is refused instead of silently
-mixing two campaigns in one directory.  ``reducer_state.npz`` snapshots
-the reducer's running state after every folded chunk (same atomic write
-discipline), so a resume restores the reduction itself rather than
-re-folding every chunk; stores without it -- including every pre-reducer
-store -- simply re-fold, which is bit-identical by construction.
+Completed chunks are records of ``chunks.log`` (see :class:`ChunkLog`):
+each is length-prefixed and CRC32-checked and goes out in one
+``O_APPEND`` write, so a killed process leaves at most a torn *tail*.
+Readers stop at the first invalid record, and ``initialize()`` truncates
+the log there, under the store lock, before anything is appended: on
+resume a chunk is either completely on record or recomputed.  A chunk's
+telemetry events travel in its record, so a completed chunk always has
+its telemetry.  Stores written before the log kept one
+``chunks/chunk_NNNNNN.npz`` per chunk (and, earlier still, the events
+in ``telemetry/chunk_*.jsonl``); those files stay readable, read-only,
+so such stores still resume and report -- new chunks go to the log.
 
-Telemetry is strictly additive and follows the same crash discipline:
-a chunk's events travel inside its ``.npz`` as the optional
-``telemetry`` member (compact JSON bytes), so one atomic write publishes
-the outputs and their telemetry together and a completed chunk always
-has its telemetry.  ``run.jsonl`` is append-only across resumes, and a
-store without any of it remains fully usable -- telemetry readers
-return empty results instead of raising.  Stores written before the
-member existed kept each chunk's events in ``telemetry/chunk_*.jsonl``;
-the readers fall back to those files (read-only), so such stores still
-resume and report.
+The other files are written atomically (temp file + ``os.replace``).  A
+kill *between* ``mkstemp`` and ``os.replace`` can leak the anonymous
+``.tmp`` file, so ``initialize()`` sweeps stale temporaries from the
+store root, ``chunks/`` and ``telemetry/`` every time it runs (fresh
+create and resume alike).  ``quarantine.json`` records chunks that
+exhausted their retry budget -- one JSON entry per chunk with the sample
+indices, the error and the attempt count.  The manifest pins the spec;
+resuming with a different spec is refused instead of silently mixing
+two campaigns in one directory.  ``reducer_state.npz`` snapshots the
+reducer's running state after folded chunks, so a resume restores the
+reduction itself rather than re-folding every chunk; stores without it
+-- including every pre-reducer store -- simply re-fold, which is
+bit-identical by construction.
+
+Telemetry is strictly additive: ``run.jsonl`` is append-only across
+resumes, and a store without any of it remains fully usable --
+telemetry readers return empty results instead of raising.
 
 ``lock.json`` serializes *ownership*: a runner acquires the store lock
 (:class:`StoreLock`, ``O_CREAT | O_EXCL``) before touching the
@@ -60,12 +61,15 @@ crash recovery needs no manual cleanup.
 """
 
 import json
+import math
 import os
 import socket
+import struct
 import tempfile
 import threading
 import time
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -74,7 +78,8 @@ from ..telemetry import append_events, read_events, validate_events
 from .spec import CampaignSpec
 
 FORMAT_VERSION = 1
-_CHUNK_DIR = "chunks"
+_CHUNK_LOG = "chunks.log"
+_LEGACY_CHUNK_DIR = "chunks"
 _TELEMETRY_MEMBER = "telemetry"
 _REDUCER_STATE = "reducer_state.npz"
 _STATE_META_KEY = "__meta__"
@@ -236,11 +241,263 @@ class StoreLock:
         return f"StoreLock({self.path!r}, {state})"
 
 
+#: Fixed part of a chunk-log record: the magic and the CRC32 of the rest
+#: of the record, then the chunk index, the header length and the
+#: payload length (little-endian).
+_RECORD_MAGIC = b"RCL1"
+_RECORD_FRAME = struct.Struct("<4sI")
+_RECORD_FIELDS = struct.Struct("<QQQ")
+_RECORD_HEAD = _RECORD_FRAME.size + _RECORD_FIELDS.size
+#: Header and arrays start on this byte boundary within a record.
+_RECORD_ALIGN = 8
+
+
+def _padding(size):
+    return b"\0" * (-size % _RECORD_ALIGN)
+
+
+class ChunkLog:
+    """The append-only log of a store's completed chunks.
+
+    One record per chunk: a 32-byte fixed part (magic, CRC32, chunk
+    index, header and payload lengths), a compact JSON header, and the
+    raw bytes of the chunk's arrays.  The header holds the chunk index,
+    each array's name, dtype, shape and payload offset, and -- when
+    captured -- the chunk's telemetry events as its ``telemetry``
+    member.  The CRC covers everything after itself.  :meth:`append`
+    writes a whole record with one ``os.write`` on an ``O_APPEND``
+    descriptor: no temp file, no rename.
+
+    The instance keeps an offset index of the records it has seen, so
+    :meth:`read` is one positioned read.  Each append extends the index,
+    and a scan only ever continues from where the last one stopped: a
+    plain scan reads the fixed parts of the new records, a validating
+    scan also checks the CRC of every record not yet checked.  A scan
+    stops at the first invalid record (a torn tail, a flipped byte), so
+    that record and every record after it are not on record;
+    :meth:`recover` truncates them.  A log that shrank or was replaced
+    since the last scan is indexed afresh.  An instance is not meant to
+    be shared between threads.
+    """
+
+    def __init__(self, path):
+        self.path = str(path)
+        self._reset(None)
+
+    def _reset(self, identity):
+        self._identity = identity  # (st_dev, st_ino) of the indexed log
+        # chunk -> (offset, header length, payload length); the first
+        # record of a chunk wins.
+        self._records = {}
+        self._end = 0  # offset after the last indexed record
+        self._checked = 0  # the CRC-checked prefix, <= ``_end``
+
+    def _scan(self, validate):
+        """Extend the index to the first invalid record or the end of
+        the log; returns the log's size (0 when absent)."""
+        try:
+            descriptor = os.open(self.path, os.O_RDONLY)
+        except FileNotFoundError:
+            self._reset(None)
+            return 0
+        try:
+            stat = os.fstat(descriptor)
+            identity = (stat.st_dev, stat.st_ino)
+            if identity != self._identity or stat.st_size < self._end:
+                self._reset(identity)
+            offset = self._checked if validate else self._end
+            while True:
+                fields = self._fields_at(descriptor, offset, stat.st_size,
+                                         validate)
+                if fields is None:
+                    break
+                chunk, header_length, payload_length = fields
+                self._records.setdefault(
+                    chunk, (offset, header_length, payload_length)
+                )
+                offset += _RECORD_HEAD + header_length + payload_length
+        finally:
+            os.close(descriptor)
+        if offset < self._end:
+            # The validating scan rejected a record the plain scan took.
+            self._records = {
+                chunk: extent for chunk, extent in self._records.items()
+                if extent[0] < offset
+            }
+        self._end = offset
+        if validate:
+            self._checked = offset
+        return stat.st_size
+
+    @staticmethod
+    def _fields_at(descriptor, offset, size, validate):
+        """``(chunk, header length, payload length)`` of the record at
+        ``offset``, or ``None`` when no valid record starts there."""
+        if offset + _RECORD_HEAD > size:
+            return None
+        head = os.pread(descriptor, _RECORD_HEAD, offset)
+        if len(head) < _RECORD_HEAD:  # truncated under the scan
+            return None
+        magic, checksum = _RECORD_FRAME.unpack_from(head)
+        fields = _RECORD_FIELDS.unpack_from(head, _RECORD_FRAME.size)
+        length = _RECORD_HEAD + fields[1] + fields[2]
+        if magic != _RECORD_MAGIC or offset + length > size:
+            return None
+        if validate:
+            record = os.pread(descriptor, length, offset)
+            if (len(record) != length or zlib.crc32(
+                    memoryview(record)[_RECORD_FRAME.size:]) != checksum):
+                return None
+        return fields
+
+    def _extent(self, chunk_index):
+        chunk_index = int(chunk_index)
+        if chunk_index not in self._records:
+            self._scan(validate=False)
+        return self._records.get(chunk_index)
+
+    def chunks(self, validate=False):
+        """Sorted indices of the chunks on record (``validate`` checks
+        every record's CRC once per instance)."""
+        self._scan(validate)
+        return sorted(self._records)
+
+    def extent(self, chunk_index):
+        """``(offset, length)`` of a chunk's record, or ``None``."""
+        extent = self._extent(chunk_index)
+        if extent is None:
+            return None
+        offset, header_length, payload_length = extent
+        return offset, _RECORD_HEAD + header_length + payload_length
+
+    def append(self, chunk_index, arrays, telemetry=None):
+        """Append one chunk's record; returns the log's path.
+
+        ``arrays`` maps names to numpy arrays; ``telemetry`` (optional)
+        is a JSON-serializable event list.
+        """
+        chunk_index = int(chunk_index)
+        layout, parts, payload_length = [], [], 0
+        for name, array in arrays.items():
+            array = np.ascontiguousarray(array)
+            layout.append([name, array.dtype.str, list(array.shape),
+                           payload_length])
+            padding = _padding(array.nbytes)
+            parts += [array, padding]
+            payload_length += array.nbytes + len(padding)
+        header = {"chunk": chunk_index, "arrays": layout}
+        if telemetry is not None:
+            header[_TELEMETRY_MEMBER] = telemetry
+        text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        text += b" " * (-len(text) % _RECORD_ALIGN)
+        body = b"".join([
+            _RECORD_FIELDS.pack(chunk_index, len(text), payload_length),
+            text, *parts,
+        ])
+        record = _RECORD_FRAME.pack(_RECORD_MAGIC, zlib.crc32(body)) + body
+        descriptor = os.open(self.path,
+                             os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            written = os.write(descriptor, record)
+            end = os.lseek(descriptor, 0, os.SEEK_CUR)
+            stat = os.fstat(descriptor)
+        finally:
+            os.close(descriptor)
+        if written != len(record):
+            raise CampaignError(
+                f"short write of chunk {chunk_index} to {self.path!r} "
+                f"({written} of {len(record)} bytes); resume truncates "
+                "the torn record"
+            )
+        identity = (stat.st_dev, stat.st_ino)
+        if identity != self._identity:
+            self._reset(identity)
+        start = end - len(record)
+        if start == self._end:  # nothing unseen was appended before it
+            self._records.setdefault(
+                chunk_index, (start, len(text), payload_length)
+            )
+            if self._checked == start:
+                self._checked = end
+            self._end = end
+        return self.path
+
+    def read(self, chunk_index):
+        """``{name: array}`` of a chunk's record, or ``None`` when the
+        chunk is not on record.
+
+        One positioned read of the whole record; a record whose CRC
+        does not match raises :class:`CampaignError`.  The arrays are
+        writable views of one buffer.
+        """
+        extent = self._extent(chunk_index)
+        if extent is None:
+            return None
+        offset, header_length, payload_length = extent
+        buffer = bytearray(_RECORD_HEAD + header_length + payload_length)
+        try:
+            descriptor = os.open(self.path, os.O_RDONLY)
+            try:
+                count = os.preadv(descriptor, [buffer], offset)
+            finally:
+                os.close(descriptor)
+        except OSError as exc:
+            raise CampaignError(
+                f"cannot read chunk {chunk_index} from {self.path!r} "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
+        view = memoryview(buffer)
+        magic, checksum = _RECORD_FRAME.unpack_from(buffer)
+        if (count != len(buffer) or magic != _RECORD_MAGIC
+                or zlib.crc32(view[_RECORD_FRAME.size:]) != checksum):
+            raise CampaignError(
+                f"chunk {chunk_index} in {self.path!r} is corrupt or "
+                "truncated (checksum mismatch); resume to recompute it"
+            )
+        header = json.loads(bytes(view[_RECORD_HEAD:_RECORD_HEAD
+                                       + header_length]))
+        start = _RECORD_HEAD + header_length
+        return {
+            name: np.frombuffer(
+                buffer, dtype=np.dtype(dtype), count=math.prod(shape),
+                offset=start + position,
+            ).reshape(shape)
+            for name, dtype, shape, position in header["arrays"]
+        }
+
+    def telemetry(self, chunk_index):
+        """A chunk's telemetry events from its record header, or ``None``
+        (not on record, recorded without events, or unreadable)."""
+        extent = self._extent(chunk_index)
+        if extent is None:
+            return None
+        offset, header_length, _ = extent
+        try:
+            descriptor = os.open(self.path, os.O_RDONLY)
+            try:
+                text = os.pread(descriptor, header_length,
+                                offset + _RECORD_HEAD)
+            finally:
+                os.close(descriptor)
+            return json.loads(text).get(_TELEMETRY_MEMBER)
+        except (OSError, ValueError, AttributeError):
+            return None
+
+    def recover(self):
+        """Check every record's CRC again and truncate the log after the
+        last valid one: a torn tail, or everything from a corrupt record
+        on."""
+        self._checked = 0
+        if self._scan(validate=True) > self._end:
+            os.truncate(self.path, self._end)
+
+
 class ArtifactStore:
     """Checkpoint directory of one campaign (create with ``initialize``)."""
 
     def __init__(self, path):
         self.path = str(path)
+        self.chunk_log = ChunkLog(os.path.join(self.path, _CHUNK_LOG))
 
     # ------------------------------------------------------------------
     # Manifest
@@ -252,10 +509,6 @@ class ArtifactStore:
     @property
     def summary_path(self):
         return os.path.join(self.path, "summary.json")
-
-    @property
-    def chunk_dir(self):
-        return os.path.join(self.path, _CHUNK_DIR)
 
     def exists(self):
         """Whether this directory holds an initialized store."""
@@ -318,9 +571,11 @@ class ArtifactStore:
                 )
             self._make_directories()
             self.sweep_temporaries()
+            self.chunk_log.recover()
             return self
         self._make_directories()
         self.sweep_temporaries()
+        self.chunk_log.recover()
         manifest = {
             "format_version": FORMAT_VERSION,
             "campaign": spec.to_dict(),
@@ -331,9 +586,7 @@ class ArtifactStore:
         return self
 
     def _make_directories(self):
-        # Once per initialize: the chunk and telemetry writers assume
-        # both directories exist.
-        os.makedirs(self.chunk_dir, exist_ok=True)
+        # Once per initialize: the telemetry writers assume it exists.
         os.makedirs(self.telemetry_dir, exist_ok=True)
 
     def sweep_temporaries(self):
@@ -356,7 +609,8 @@ class ArtifactStore:
                 "(a campaign is running there)"
             )
         removed = []
-        for directory in (self.path, self.chunk_dir, self.telemetry_dir):
+        for directory in (self.path, self._legacy_chunk_dir,
+                          self.telemetry_dir):
             if not os.path.isdir(directory):
                 continue
             for name in os.listdir(directory):
@@ -393,94 +647,95 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Chunks
     # ------------------------------------------------------------------
-    def chunk_path(self, chunk_index):
+    @property
+    def _legacy_chunk_dir(self):
+        # Stores written before the chunk log kept one ``.npz`` per chunk
+        # here; read-only now.
+        return os.path.join(self.path, _LEGACY_CHUNK_DIR)
+
+    def _legacy_chunk_path(self, chunk_index):
         return os.path.join(
-            self.chunk_dir, f"chunk_{int(chunk_index):06d}.npz"
+            self._legacy_chunk_dir, f"chunk_{int(chunk_index):06d}.npz"
         )
 
-    def completed_chunks(self, validate=False):
-        """Sorted indices of every fully written chunk.
-
-        The default is a name-based scan (cheap, and atomic writes make
-        a present file a complete file in normal operation).  With
-        ``validate=True`` every chunk file gets a structural check --
-        the zip central directory parses and the three expected arrays
-        are present -- so files truncated by a full disk or torn by a
-        partial copy are dropped from the result and resume recomputes
-        them instead of crashing on the corrupt bytes later.  The check
-        reads only the archive directory, not the array data, so it
-        stays cheap next to the reducer-snapshot fast path.
-        """
-        if not os.path.isdir(self.chunk_dir):
-            return []
-        indices = []
-        for name in os.listdir(self.chunk_dir):
+    def _legacy_chunks(self, validate):
+        """Indices of the legacy ``.npz`` chunk files (with ``validate``:
+        those whose zip directory parses and holds the three arrays)."""
+        try:
+            names = os.listdir(self._legacy_chunk_dir)
+        except OSError:
+            return set()
+        indices = set()
+        for name in names:
             if name.startswith("chunk_") and name.endswith(".npz"):
                 try:
-                    indices.append(int(name[len("chunk_"):-len(".npz")]))
+                    index = int(name[len("chunk_"):-len(".npz")])
                 except ValueError:
                     continue
-        indices.sort()
-        if not validate:
-            return indices
-        return [index for index in indices
-                if self._chunk_intact(self.chunk_path(index))]
+                if not validate or {
+                        "indices.npy", "parameters.npy", "outputs.npy",
+                } <= self._legacy_members(index):
+                    indices.add(index)
+        return indices
 
-    @staticmethod
-    def _chunk_intact(path):
-        """Structural validity of one chunk ``.npz`` (directory parses,
-        expected members present) without loading the arrays."""
+    def _legacy_members(self, chunk_index):
         try:
-            with zipfile.ZipFile(path) as archive:
-                names = set(archive.namelist())
+            with zipfile.ZipFile(self._legacy_chunk_path(chunk_index)) \
+                    as archive:
+                return set(archive.namelist())
         except (OSError, ValueError, zipfile.BadZipFile):
-            return False
-        return {"indices.npy", "parameters.npy", "outputs.npy"} <= names
+            return set()
+
+    def completed_chunks(self, validate=False):
+        """Sorted indices of every completed chunk.
+
+        The default reads the fixed part of each log record the
+        instance has not seen yet -- never the arrays -- and stops at
+        the first record that does not frame.  With ``validate=True``
+        every record's CRC is checked as well (once per instance), so a
+        record torn by a full disk or flipped on the medium is dropped
+        together with every record after it, and resume recomputes
+        those chunks instead of crashing on the corrupt bytes later.
+        Legacy ``chunks/*.npz`` files count too (``validate`` checks
+        that their zip directory parses and holds the three arrays).
+        """
+        chunks = set(self.chunk_log.chunks(validate))
+        chunks |= self._legacy_chunks(validate)
+        return sorted(chunks)
 
     def write_chunk(self, result, events=None):
-        """Persist one :class:`~repro.campaign.executor.ChunkResult`.
+        """Append one :class:`~repro.campaign.executor.ChunkResult` to
+        the chunk log; returns the log's path.
 
         ``events`` (optional) is the chunk's telemetry event list; it is
-        validated and stored in the same file as the ``telemetry``
-        member (compact JSON bytes).  Atomic: the chunk file appears
-        only once completely written, outputs and telemetry together.
-        The store must be initialized (``initialize`` creates
-        ``chunks/``).
+        validated and stored in the same record, so one write publishes
+        the outputs and their telemetry together.
         """
-        arrays = {
-            "indices": result.indices,
-            "parameters": result.parameters,
-            "outputs": result.outputs,
-        }
         if events is not None:
             events = list(events)
             validate_events(events)
-            arrays[_TELEMETRY_MEMBER] = np.frombuffer(
-                json.dumps(events, separators=(",", ":")).encode("utf-8"),
-                dtype=np.uint8,
-            )
-        path = self.chunk_path(result.chunk_index)
-        # Unique temp name: concurrent writers (two resumes of the same
-        # store) each publish a complete file via their own rename.
-        descriptor, temporary = tempfile.mkstemp(
-            dir=self.chunk_dir,
-            prefix=f"chunk_{result.chunk_index:06d}.",
-            suffix=".tmp",
+        return self.chunk_log.append(
+            result.chunk_index,
+            {
+                "indices": result.indices,
+                "parameters": result.parameters,
+                "outputs": result.outputs,
+            },
+            telemetry=events,
         )
-        with os.fdopen(descriptor, "wb") as handle:
-            np.savez(handle, **arrays)
-        os.replace(temporary, path)
-        return path
 
     def read_chunk(self, chunk_index):
         """``(indices, parameters, outputs)`` arrays of one chunk.
 
-        A chunk file that exists but cannot be read (truncated archive,
-        torn copy, missing arrays) raises :class:`CampaignError` naming
-        the file -- never a bare ``zipfile.BadZipFile`` -- so callers
-        can uniformly treat unreadable as recomputable.
+        A chunk that is on record but cannot be read (checksum mismatch,
+        torn legacy archive, missing arrays) raises
+        :class:`CampaignError` -- never a bare ``zipfile.BadZipFile`` --
+        so callers can uniformly treat unreadable as recomputable.
         """
-        path = self.chunk_path(chunk_index)
+        arrays = self.chunk_log.read(chunk_index)
+        if arrays is not None:
+            return arrays["indices"], arrays["parameters"], arrays["outputs"]
+        path = self._legacy_chunk_path(chunk_index)
         if not os.path.isfile(path):
             raise CampaignError(
                 f"chunk {chunk_index} is not present in {self.path!r}"
@@ -513,8 +768,8 @@ class ArtifactStore:
         ``meta`` is a small JSON dict identifying the reduction (reducer
         config, chunk progress); ``arrays`` maps names to numpy arrays
         (the reducer's ``state_dict`` plus the runner's bookkeeping).
-        The same temp-file + ``os.replace`` discipline as chunk writes:
-        a killed process leaves either the previous snapshot or the new
+        Written to a temp file and published by ``os.replace``: a
+        killed process leaves either the previous snapshot or the new
         one, never a torn file.
         """
         descriptor, temporary = tempfile.mkstemp(
@@ -538,7 +793,7 @@ class ArtifactStore:
         Returns ``None`` for stores without a snapshot (every store is
         readable without one -- the runner then re-folds the chunks) and
         for unreadable snapshots, which are treated as absent rather
-        than fatal: the chunk files remain the source of truth.
+        than fatal: the chunk log remains the source of truth.
         """
         if not os.path.isfile(self.reducer_state_path):
             return None
@@ -631,20 +886,17 @@ class ArtifactStore:
             self.telemetry_dir, f"chunk_{int(chunk_index):06d}.jsonl"
         )
 
-    def _chunk_has_telemetry(self, chunk_index):
-        try:
-            with zipfile.ZipFile(self.chunk_path(chunk_index)) as archive:
-                return f"{_TELEMETRY_MEMBER}.npy" in archive.namelist()
-        except (OSError, ValueError, zipfile.BadZipFile):
-            return False
-
     def telemetry_chunks(self):
-        """Sorted indices of every chunk with persisted telemetry: chunk
-        files with a ``telemetry`` member, plus legacy
-        ``telemetry/chunk_*.jsonl`` files."""
+        """Sorted indices of every chunk with persisted telemetry: log
+        records with a ``telemetry`` member, plus the legacy ``.npz``
+        members and ``telemetry/chunk_*.jsonl`` files."""
         indices = {
-            index for index in self.completed_chunks()
-            if self._chunk_has_telemetry(index)
+            index for index in self.chunk_log.chunks()
+            if self.chunk_log.telemetry(index) is not None
+        }
+        indices |= {
+            index for index in self._legacy_chunks(validate=False)
+            if f"{_TELEMETRY_MEMBER}.npy" in self._legacy_members(index)
         }
         if os.path.isdir(self.telemetry_dir):
             for name in os.listdir(self.telemetry_dir):
@@ -658,11 +910,15 @@ class ArtifactStore:
     def read_chunk_telemetry(self, chunk_index):
         """One chunk's telemetry events (``[]`` when never captured).
 
-        Reads the chunk file's ``telemetry`` member; chunks without one
-        fall back to the legacy ``telemetry/chunk_*.jsonl`` file.  An
-        unreadable chunk file counts as having no member.
+        Reads the ``telemetry`` member of the chunk's log record header;
+        chunks without one fall back to a legacy ``.npz`` member, then
+        to the legacy ``telemetry/chunk_*.jsonl`` file.  An unreadable
+        record or file counts as having no member.
         """
-        path = self.chunk_path(chunk_index)
+        events = self.chunk_log.telemetry(chunk_index)
+        if events is not None:
+            return events
+        path = self._legacy_chunk_path(chunk_index)
         if os.path.isfile(path):
             try:
                 with np.load(path) as data:

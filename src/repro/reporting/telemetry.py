@@ -16,7 +16,7 @@ def _seconds(value):
 
 
 def _chunk_records(telemetry):
-    """The ``chunk`` summary event of every chunk file, chunk-ordered."""
+    """The ``chunk`` summary event of every chunk record, chunk-ordered."""
     records = []
     for index in sorted(telemetry.get("chunks", {})):
         for event in telemetry["chunks"][index]:
@@ -218,7 +218,7 @@ def format_trace_summary(telemetry):
 
     The ``repro-campaign trace`` default view: how many events of each
     kind the store holds, then per-span-name duration statistics
-    (count / total / mean / max) aggregated over every chunk file.  The
+    (count / total / mean / max) aggregated over every chunk record.  The
     per-row times of ``samples`` events form the ``sample`` row.
     """
     chunk_events = [

@@ -2,12 +2,13 @@
 
 The one read path behind both the service's ``GET /jobs/<id>`` endpoint
 and ``repro-campaign status`` / ``report --partial``: everything comes
-from the store's *small* files -- ``manifest.json``, chunk file *names*,
-the checkpointed ``reducer_state.npz`` (one small npz holding the
-reduction state, not the samples), ``quarantine.json`` and
-``telemetry/progress.json``.  No chunk ``.npz`` is ever opened, so
-status on a million-sample campaign costs one directory listing plus a
-few kilobyte-sized reads -- cheap enough to poll per second while the
+from the store's *small* files -- ``manifest.json``, the fixed 32-byte
+part of each ``chunks.log`` record (the chunk count), the checkpointed
+``reducer_state.npz`` (one small npz holding the reduction state, not
+the samples), ``quarantine.json`` and ``telemetry/progress.json``.  No
+chunk payload is ever read, so status on a million-sample campaign
+costs one small positioned read per chunk record plus a few
+kilobyte-sized reads -- cheap enough to poll per second while the
 campaign runs.
 
 :func:`partial_summary` is the ``report --partial`` synthesis: the

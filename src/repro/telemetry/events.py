@@ -142,9 +142,8 @@ def _encode(event):
 def write_events(path, events, validate=True):
     """Atomically write an event list as a JSONL file (temp + replace).
 
-    The file either exists completely or not at all, mirroring the
-    chunk ``.npz`` discipline, so a killed writer never leaves a torn
-    event file behind.
+    The file either exists completely or not at all, so a killed
+    writer never leaves a torn event file behind.
     """
     events = list(events)
     if validate:

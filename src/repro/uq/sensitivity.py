@@ -34,10 +34,11 @@ from .sampling import map_to_distributions, random_sampler
 _BOOTSTRAP_SPAWN_KEY = 0xB0075
 
 #: Byte budget of the resampled designs one :func:`jansen_bootstrap`
-#: slice gathers.  A slice always holds at least one replicate, so a
-#: design larger than the budget (trace QoIs) resamples one replicate
-#: at a time.
-_BOOTSTRAP_SLICE_BYTES = 40 << 10
+#: slice gathers: a scalar design of a few blocks of 64 rows resamples
+#: its 100 replicates in one slice.  A slice always holds at least one
+#: replicate, so a design larger than the budget (trace QoIs, a few MB
+#: each) resamples one replicate at a time.
+_BOOTSTRAP_SLICE_BYTES = 1 << 20
 
 #: The :func:`_jansen_estimates` entries the bootstrap bounds, and the
 #: :class:`BootstrapInterval` fields (``<field>_lower/_upper``) they fill.
@@ -474,7 +475,7 @@ class StreamingJansenAccumulator:
         Captures the folded position, retained ``A``/``B`` blocks and the
         per-subset running sums; :meth:`load_state_dict` restores an
         accumulator that continues bit-identically, which is what lets a
-        campaign checkpoint its reduction beside the chunk files.
+        campaign checkpoint its reduction beside the chunk log.
         """
         state = {"num_folded": np.asarray(self._next)}
         if self._output_shape is None:
@@ -614,12 +615,12 @@ class StreamingJansenAccumulator:
         collected = {}
         num_kept = 0
         for offset in range(0, num_replicates, slice_size):
-            # One draw per replicate, in replicate order: the rows do not
-            # depend on the slicing.
-            rows = np.stack([
-                rng.integers(0, m, size=m)
-                for _ in range(min(slice_size, num_replicates - offset))
-            ])
+            # One draw per slice, replicate after replicate: the same
+            # stream as one draw per replicate, so the rows do not depend
+            # on the slicing.
+            rows = rng.integers(
+                0, m, size=(min(slice_size, num_replicates - offset), m)
+            )
 
             def resample(block):
                 return block.reshape(m, -1)[rows]  # (R, M, C)
@@ -662,10 +663,10 @@ class StreamingJansenAccumulator:
             # One estimate family at a time, releasing its slices.
             values = np.concatenate(collected.pop(key))
             shape = values.shape[1:2] + blocks[0].shape[1:]
-            bounds[field + "_lower"] = np.quantile(
-                values, alpha, axis=0).reshape(shape)
-            bounds[field + "_upper"] = np.quantile(
-                values, 1.0 - alpha, axis=0).reshape(shape)
+            lower, upper = np.quantile(values, [alpha, 1.0 - alpha],
+                                       axis=0)
+            bounds[field + "_lower"] = lower.reshape(shape)
+            bounds[field + "_upper"] = upper.reshape(shape)
         return BootstrapInterval(num_replicates=num_kept,
                                  confidence=confidence, **bounds)
 
@@ -985,16 +986,17 @@ def jansen_bootstrap(f_a, f_b, f_ab, num_replicates=100, seed=0,
     streaming bit-for-bit guarantee covers the point estimates, not the
     resampled quantile bounds.
 
-    Each replicate's rows come from one ``rng.integers`` draw, in
-    replicate order.  The replicates are evaluated in slices: the
+    Each slice's rows come from one ``rng.integers`` draw of shape
+    ``(replicates, M)``, which is the stream of one draw per replicate
+    in replicate order.  The replicates are evaluated in slices: the
     slice's resampled ``A`` and ``B`` blocks and one swap block at a
     time are gathered, and one vectorized estimate covers the slice.
     The slice size follows from a fixed byte budget for the resampled
     designs (``_BOOTSTRAP_SLICE_BYTES``), down to one replicate per
     slice when a single design exceeds it, so slicing changes neither
-    the rows nor the peak memory of large trace QoIs.  A replicate whose resample has zero variance in every
-    component is dropped, and ``num_replicates`` of the result counts
-    the replicates kept.
+    the rows nor the peak memory of large trace QoIs.  A replicate
+    whose resample has zero variance in every component is dropped, and
+    ``num_replicates`` of the result counts the replicates kept.
 
     Pass ``f_ab_pairs``/``pairs`` and/or ``f_ab_groups``/``groups`` (as
     in :func:`jansen_second_order` / :func:`jansen_group_indices`) to

@@ -1,5 +1,7 @@
 """Shared campaign test fixtures."""
 
+import os
+
 import pytest
 
 from repro.campaign import CampaignSpec, ScenarioSpec, SensitivitySpec
@@ -59,3 +61,26 @@ def toy_spec():
 @pytest.fixture
 def toy_sensitivity_spec():
     return make_toy_sensitivity_spec()
+
+
+def drop_chunk_record(store, chunk_index):
+    """Remove ``chunk_index``'s record from the store's chunk log: what
+    a kill before that chunk's append leaves behind, when the chunks
+    recorded after it completed first."""
+    offset, length = store.chunk_log.extent(chunk_index)
+    with open(store.chunk_log.path, "rb") as handle:
+        log = handle.read()
+    with open(store.chunk_log.path, "wb") as handle:
+        handle.write(log[:offset] + log[offset + length:])
+
+
+def flip_chunk_log_byte(store, chunk_index, position=-1, mask=0xFF):
+    """XOR one byte of ``chunk_index``'s log record with ``mask``
+    (default: its last byte, inside the array payload)."""
+    offset, length = store.chunk_log.extent(chunk_index)
+    target = offset + position % length
+    with open(store.chunk_log.path, "r+b") as handle:
+        handle.seek(target)
+        value = handle.read(1)[0]
+        handle.seek(target)
+        handle.write(bytes([value ^ mask]))

@@ -140,20 +140,24 @@ class Abort(RuntimeError):
 
 def _to_legacy_telemetry_layout(store, orphans=()):
     """Rewrite a store's chunks into the layout before chunk files held
-    their telemetry: ``.npz`` files with the three arrays only, and the
-    events in ``telemetry/chunk_<index>.jsonl``.  ``orphans`` maps a
-    missing chunk to the event file a kill between the two old writes
-    left behind."""
+    their telemetry: ``chunks/chunk_<index>.npz`` files with the three
+    arrays only, the events in ``telemetry/chunk_<index>.jsonl``, and no
+    chunk log.  ``orphans`` maps a missing chunk to the event file a
+    kill between the two old writes left behind."""
     def legacy_path(index):
         return os.path.join(store.telemetry_dir, f"chunk_{index:06d}.jsonl")
 
+    chunk_dir = os.path.join(store.path, "chunks")
+    os.makedirs(chunk_dir)
     for index in store.completed_chunks():
         events = store.read_chunk_telemetry(index)
         indices, parameters, outputs = store.read_chunk(index)
-        with open(store.chunk_path(index), "wb") as handle:
+        with open(os.path.join(chunk_dir, f"chunk_{index:06d}.npz"),
+                  "wb") as handle:
             np.savez(handle, indices=indices, parameters=parameters,
                      outputs=outputs)
         write_events(legacy_path(index), events)
+    os.remove(store.chunk_log.path)
     for index, events in dict(orphans).items():
         write_events(legacy_path(index), events)
 
@@ -182,11 +186,19 @@ class TestLegacyChunkTelemetryLayout:
         assert store.completed_chunks() == [0, 1, 2]
         _to_legacy_telemetry_layout(
             store, orphans={3: reference.read_chunk_telemetry(3)})
+        store = ArtifactStore(store.path)
         assert store.read_chunk_telemetry(0)[0]["chunk"] == 0
 
         resumed = resume_campaign(store, telemetry=True)
         assert resumed.num_evaluated == 15
         assert store.read_summary() == expected.summary()
+        # The legacy files were read, never rewritten: the three
+        # remaining chunks went to the log.
+        assert ArtifactStore(store.path).chunk_log.chunks() == [3, 4, 5]
+        for index in range(spec.num_chunks):
+            for read, written in zip(store.read_chunk(index),
+                                     reference.read_chunk(index)):
+                assert read.tobytes() == written.tobytes()
         chunks = store.read_telemetry()["chunks"]
         assert sorted(chunks) == list(range(spec.num_chunks))
         for index, events in chunks.items():

@@ -27,6 +27,7 @@ from repro.campaign import (
 from repro.campaign.cli import main
 from repro.errors import CampaignError
 
+from .conftest import drop_chunk_record, flip_chunk_log_byte
 from .flaky_problem import MODULE, PROBLEM_NAME
 
 DIMENSION = 4
@@ -317,7 +318,7 @@ class TestResumeQuarantine:
         run_campaign(spec, store=store, retry=0)
         # Simulate a kill after the quarantine landed: later chunks,
         # the summary and the reduction snapshot are gone.
-        os.remove(store.chunk_path(3))
+        drop_chunk_record(store, 3)
         os.remove(store.summary_path)
         if os.path.isfile(store.reducer_state_path):
             os.remove(store.reducer_state_path)
@@ -338,13 +339,15 @@ class TestStoreCrashSafety:
         spec = make_flaky_spec()
         store = ArtifactStore(tmp_path / "store")
         run_campaign(spec, store=store)
-        # Plant the leaks a kill between mkstemp and os.replace leaves.
+        # Plant the leaks a kill between mkstemp and os.replace leaves
+        # (the legacy ``chunks/`` directory of a store from before the
+        # chunk log included).
         stale = [
-            os.path.join(store.chunk_dir, "chunk_000001.abc123.tmp"),
+            os.path.join(store.path, "chunks", "chunk_000001.abc123.tmp"),
             os.path.join(store.path, "reducer_state.xyz789.tmp"),
             os.path.join(store.telemetry_dir, "chunk_000001.def.tmp"),
         ]
-        os.makedirs(store.telemetry_dir, exist_ok=True)
+        os.makedirs(os.path.join(store.path, "chunks"))
         for path in stale:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write("torn")
@@ -358,23 +361,22 @@ class TestStoreCrashSafety:
         spec = make_flaky_spec()
         store = ArtifactStore(tmp_path / "store")
         run_campaign(spec, store=store)
-        path = store.chunk_path(2)
-        with open(path, "r+b") as handle:
-            handle.truncate(10)  # torn by a full disk
+        flip_chunk_log_byte(store, 2)  # a bad sector in its outputs
         with pytest.raises(CampaignError, match="corrupt or truncated"):
             store.read_chunk(2)
-        # The name-based scan still lists it; the validating scan drops
-        # it so resume recomputes instead of crashing.
-        assert 2 in store.completed_chunks()
-        assert 2 not in store.completed_chunks(validate=True)
+        # The scan of the records' fixed parts still lists it; the
+        # validating scan drops it, and every record after it, so resume
+        # recomputes instead of crashing.
+        store = ArtifactStore(store.path)
+        assert store.completed_chunks() == [0, 1, 2, 3]
+        assert store.completed_chunks(validate=True) == [0, 1]
 
     def test_resume_recomputes_corrupt_chunk(self, tmp_path):
         spec = make_flaky_spec()
         store = ArtifactStore(tmp_path / "store")
         first = run_campaign(spec, store=store)
         expected = store.read_chunk(2)
-        with open(store.chunk_path(2), "r+b") as handle:
-            handle.truncate(10)
+        flip_chunk_log_byte(store, 2)
         os.remove(store.summary_path)
         if os.path.isfile(store.reducer_state_path):
             os.remove(store.reducer_state_path)

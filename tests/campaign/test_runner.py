@@ -237,7 +237,7 @@ class TestOutOfOrderFold:
                                     executor=PermutedExecutor(order))
             assert sorted(reads) == sorted(ahead_of_frontier(order))
             # metrics.json merges in chunk-index order: the same bits as
-            # a merge re-read from the chunk files.
+            # a merge re-read from the chunk log.
             reread = _merged_campaign_metrics(
                 store, {}, store.completed_chunks())
             assert json.dumps(reread.as_dict(), sort_keys=True) == \

@@ -64,33 +64,41 @@ class TestChunks:
             store.write_chunk(_chunk(index))
         assert store.completed_chunks() == [0, 2, 4]
 
-    def test_no_partial_chunk_left_behind(self, tmp_path, toy_spec):
-        """Atomicity: the chunk dir never contains stray .tmp files."""
+    def test_one_log_no_partial_files(self, tmp_path, toy_spec):
+        """One record per chunk in ``chunks.log``: no per-chunk file, no
+        temp file and no ``chunks/`` directory."""
         store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
         store.write_chunk(_chunk(0))
-        names = os.listdir(store.chunk_dir)
-        assert names == ["chunk_000000.npz"]
+        assert store.write_chunk(_chunk(1)) == store.chunk_log.path
+        assert sorted(os.listdir(store.path)) == [
+            "chunks.log", "manifest.json", "telemetry",
+        ]
+        assert os.listdir(store.telemetry_dir) == []
 
     def test_missing_chunk_raises(self, tmp_path, toy_spec):
         store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
         with pytest.raises(CampaignError):
             store.read_chunk(0)
 
-    def test_events_travel_inside_the_chunk_file(self, tmp_path, toy_spec):
+    def test_events_travel_inside_the_chunk_record(self, tmp_path,
+                                                   toy_spec):
         store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
         events = [{"event": "chunk", "chunk": 2, "samples": 3,
                    "worker": "w", "wall_s": 0.25}]
         original = _chunk(2)
         store.write_chunk(original, events=events)
-        assert os.listdir(store.chunk_dir) == ["chunk_000002.npz"]
         assert os.listdir(store.telemetry_dir) == []
+        # A fresh instance reads them back from the log alone.
+        store = ArtifactStore(store.path)
         assert store.read_chunk_telemetry(2) == events
         assert store.telemetry_chunks() == [2]
         # The member is optional for readers of the outputs.
         assert store.completed_chunks(validate=True) == [2]
         for read, written in zip(store.read_chunk(2), (
                 original.indices, original.parameters, original.outputs)):
-            assert np.array_equal(read, written)
+            assert read.dtype == written.dtype
+            assert read.shape == written.shape
+            assert read.tobytes() == written.tobytes()
 
     def test_chunk_without_events_has_no_telemetry(self, tmp_path,
                                                    toy_spec):
@@ -103,24 +111,43 @@ class TestChunks:
         store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
         with pytest.raises(TelemetryError):
             store.write_chunk(_chunk(0), events=[{"event": "mystery"}])
-        assert os.listdir(store.chunk_dir) == []
+        assert not os.path.exists(store.chunk_log.path)
 
-    def test_initialize_creates_both_directories(self, tmp_path, toy_spec):
+    def test_initialize_creates_the_telemetry_directory_only(
+            self, tmp_path, toy_spec):
         store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
-        assert os.path.isdir(store.chunk_dir)
         assert os.path.isdir(store.telemetry_dir)
-        # An existing store missing them gets them back on initialize.
+        assert not os.path.exists(os.path.join(store.path, "chunks"))
+        # An existing store missing it gets it back on initialize.
         os.rmdir(store.telemetry_dir)
         store.initialize(toy_spec)
         assert os.path.isdir(store.telemetry_dir)
 
     def test_foreign_files_ignored(self, tmp_path, toy_spec):
         store = ArtifactStore(tmp_path / "store").initialize(toy_spec)
-        with open(os.path.join(store.chunk_dir, "notes.txt"), "w") as fh:
+        legacy = os.path.join(store.path, "chunks")
+        os.makedirs(legacy)
+        with open(os.path.join(legacy, "notes.txt"), "w") as fh:
             fh.write("not a chunk\n")
-        with open(os.path.join(store.chunk_dir, "chunk_bad.npz"), "w") as fh:
+        with open(os.path.join(legacy, "chunk_bad.npz"), "w") as fh:
             fh.write("")
         assert store.completed_chunks() == []
+
+    def test_index_follows_appends_of_another_instance(self, tmp_path,
+                                                       toy_spec):
+        writer = ArtifactStore(tmp_path / "store").initialize(toy_spec)
+        reader = ArtifactStore(writer.path)
+        writer.write_chunk(_chunk(0))
+        assert reader.completed_chunks() == [0]
+        writer.write_chunk(_chunk(1))
+        assert reader.completed_chunks(validate=True) == [0, 1]
+        assert reader.read_chunk(1)[2].tobytes() == \
+            _chunk(1).outputs.tobytes()
+        # A log removed and recreated is indexed afresh.
+        os.remove(writer.chunk_log.path)
+        writer.write_chunk(_chunk(2))
+        assert reader.completed_chunks() == [2]
+        assert reader.read_chunk(2)[0].tolist() == [6, 7, 8]
 
 
 class TestSummary:

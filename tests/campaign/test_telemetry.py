@@ -15,7 +15,7 @@ from repro.campaign import (
 )
 from repro.telemetry import MetricsRegistry, validate_events
 
-from .conftest import make_toy_spec
+from .conftest import drop_chunk_record, make_toy_spec
 
 
 @pytest.fixture
@@ -46,10 +46,12 @@ def _store_signatures(store):
             for index, events in data["chunks"].items()}
 
 
-def _telemetry_member(store, chunk_index):
-    """The raw ``telemetry`` member bytes of one chunk file."""
-    with np.load(store.chunk_path(chunk_index)) as data:
-        return data["telemetry"].tobytes()
+def _chunk_record(store, chunk_index):
+    """The raw bytes of one chunk's log record (arrays and telemetry)."""
+    offset, length = store.chunk_log.extent(chunk_index)
+    with open(store.chunk_log.path, "rb") as handle:
+        handle.seek(offset)
+        return handle.read(length)
 
 
 class TestPersistedTelemetry:
@@ -145,17 +147,17 @@ class TestKillResume:
 
         interrupted = ArtifactStore(tmp_path / "interrupted")
         run_campaign(spec, store=interrupted, telemetry=True)
-        # Simulate a kill before chunk 1's atomic write: its file (and
-        # with it its telemetry member) is gone.
-        os.remove(interrupted.chunk_path(1))
-        survivor_bytes = _telemetry_member(interrupted, 0)
+        # Simulate a kill before chunk 1's append: its record (and with
+        # it its telemetry) is not in the log.
+        drop_chunk_record(interrupted, 1)
+        survivor_bytes = _chunk_record(interrupted, 0)
 
         resumed = resume_campaign(interrupted, telemetry=True)
         assert resumed.num_evaluated == 4
 
-        # Completed chunks were never recomputed: their telemetry
-        # members are byte-identical to before the kill.
-        assert _telemetry_member(interrupted, 0) == survivor_bytes
+        # Completed chunks were never recomputed: their records, with
+        # their telemetry, are byte-identical to before the kill.
+        assert _chunk_record(interrupted, 0) == survivor_bytes
         # The final chunk-ordered event set matches an uninterrupted
         # run structurally (timings differ, structure must not).
         assert _store_signatures(interrupted) == \

@@ -48,9 +48,10 @@ def make_sleepy_spec(num_samples=30, chunk_size=3, seed=5, sleep_s=0.02,
 def assert_stores_bitwise_equal(path_a, path_b):
     """Bitwise equality of two stores' checkpointed data.
 
-    Chunk ``.npz`` files are zip archives whose raw bytes embed
-    timestamps, so equality is asserted on the *arrays* (indices,
-    parameters, outputs) plus the summary dict -- the same contract the
+    A chunk's log record also holds its telemetry, whose timings differ
+    between runs, and two stores may record chunks in different orders,
+    so equality is asserted on the *arrays* (indices, parameters,
+    outputs) plus the summary dict -- the same contract the
     fault-tolerance tests use.
     """
     store_a = ArtifactStore(str(path_a))

@@ -12,8 +12,13 @@ running sums to equal a plain row-by-row Python loop.
 The pinned values are the estimates of two fixed designs (Ishigami and
 a 3-component Sobol g-function with a zero-weight component), recorded
 from the reduction before the fold was vectorized: point estimates must
-stay bit-identical, bootstrap bounds within 1e-12 relative.
+stay bit-identical, bootstrap bounds within 1e-12 relative.  Two more
+bootstrap intervals -- a scalar Ishigami design whose 100 replicates
+share one slice, and a 1024-component trace design resampled one
+replicate per slice -- are pinned bit for bit.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from hypothesis import strategies as st
 from repro.uq.analytic import ishigami, sobol_g
 from repro.uq.sampling import random_sampler
 from repro.uq.sensitivity import (
+    _BOOTSTRAP_SLICE_BYTES,
     StreamingJansenAccumulator,
     all_pairs,
     jansen_bootstrap,
@@ -267,3 +273,80 @@ def test_bootstrap_bounds_are_pinned(kind):
         np.testing.assert_allclose(np.ravel(getattr(interval, name)),
                                    expected, rtol=1e-12, atol=0.0,
                                    err_msg=name)
+
+
+# ----------------------------------------------------------------------
+# Bootstrap intervals pinned bit for bit
+# ----------------------------------------------------------------------
+def _pin_design(components):
+    """A fixed Ishigami design (seed 17): scalar, or a trace-like QoI of
+    ``components`` outputs per sample."""
+    stream = random_sampler(2 * M, DIMENSION, 17)
+    a_unit, b_unit = stream[:M], stream[M:]
+
+    def model(unit):
+        values = ishigami(-np.pi + 2.0 * np.pi * unit)
+        if components is None:
+            return values
+        grid = np.linspace(0.0, 1.0, components)
+        return (values[:, np.newaxis] * (1.0 + grid)
+                + np.sin(np.outer(unit[:, 2], 4.0 * grid)))
+
+    def hybrid(column):
+        block = a_unit.copy()
+        block[:, column] = b_unit[:, column]
+        return model(block)
+
+    return (model(a_unit), model(b_unit),
+            np.stack([hybrid(column) for column in range(DIMENSION)]))
+
+
+_INTERVAL_FIELDS = ("first_order_lower", "first_order_upper",
+                    "total_lower", "total_upper")
+
+#: 100 replicates (seed 23) of the scalar design, as ``float.hex``:
+#: recorded when every replicate still had its own ``rng.integers``
+#: draw and quantile call, and 40 KiB slices.
+PINNED_SCALAR_INTERVAL = {
+    "first_order_lower": ["0x1.b03d37a09a0b1p-6", "0x1.45e27a7fec993p-2",
+                          "0x0.0p+0"],
+    "first_order_upper": ["0x1.95b7c3b52c431p-2", "0x1.2852401f7a0afp-1",
+                          "0x1.50676fcf949edp-2"],
+    "total_lower": ["0x1.c971736ae0e2cp-3", "0x1.498db745113c7p-2",
+                    "0x1.7efd62a888ce6p-3"],
+    "total_upper": ["0x1.6418f468a8689p-1", "0x1.412589e5822f8p-1",
+                    "0x1.c3c55d4fec012p-2"],
+}
+
+#: SHA-256 of the four bound arrays of 6 replicates (seed 29) of the
+#: 1024-component design, recorded at the same time.
+PINNED_TRACE_DIGEST = (
+    "dfa2c253ef1f9e1035bb01e921a609a182cca664927d1ea899a42ca1bfe52f33"
+)
+
+
+def test_scalar_bootstrap_interval_is_pinned_bitwise():
+    f_a, f_b, f_ab = _pin_design(None)
+    # The whole design's 100 resamples fit one slice.
+    assert 100 * f_a.nbytes * (2 + DIMENSION) <= _BOOTSTRAP_SLICE_BYTES
+    interval = jansen_bootstrap(f_a, f_b, f_ab, num_replicates=100,
+                                seed=23)
+    assert interval.num_replicates == 100
+    for name, expected in PINNED_SCALAR_INTERVAL.items():
+        assert [float(value).hex() for value in getattr(interval, name)] \
+            == expected, name
+
+
+def test_trace_bootstrap_interval_is_pinned_bitwise():
+    f_a, f_b, f_ab = _pin_design(1024)
+    # One resampled design exceeds the slice budget: one replicate per
+    # slice.
+    assert f_a.nbytes * (2 + DIMENSION) > _BOOTSTRAP_SLICE_BYTES
+    interval = jansen_bootstrap(f_a, f_b, f_ab, num_replicates=6, seed=29)
+    assert interval.num_replicates == 6
+    assert interval.first_order_lower.shape == (DIMENSION, 1024)
+    digest = hashlib.sha256()
+    for name in _INTERVAL_FIELDS:
+        digest.update(np.ascontiguousarray(getattr(interval, name))
+                      .tobytes())
+    assert digest.hexdigest() == PINNED_TRACE_DIGEST
